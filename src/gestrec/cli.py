@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, load_config
 from .dataset import DatasetError, load_sequence, scan_dataset
-from .evaluation import EvaluationError, class_of, render_summary, run_loocv, write_report
+from .evaluation import (
+    EvaluationError,
+    class_of,
+    render_summary,
+    run_loocv,
+    train_from_config,
+    write_report,
+)
 from .features import (
     FEATURE_KINDS,
     FeatureError,
@@ -22,14 +28,7 @@ from .features import (
 from .finger_motion import ZeroLengthBone
 from .geometry import DegenerateInput, NotARotation
 from .global_motion import InvalidConfig as InvalidDadConfig
-from .network import (
-    NetworkError,
-    Sample,
-    TrainConfig,
-    init_model,
-    save_checkpoint,
-    train,
-)
+from .network import NetworkError, Sample, save_checkpoint
 from .skeleton import DEFAULT_LAYOUT, SkeletonError
 from .synth import InvalidConfig, builtin_scripts, export_dhg_tree, generate_dataset, parse_scripts
 
@@ -63,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--features", default=",".join(FEATURE_KINDS),
                    help="comma-separated subset of: global,finger,skeleton")
-    p.add_argument("--jobs", type=int, default=1)
     _add_config_arg(p)
 
     p = sub.add_parser("train", help="train a classifier from extracted features")
@@ -80,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, choices=(14, 28), default=14)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     _add_config_arg(p)
     return parser
 
@@ -103,8 +100,7 @@ def cmd_extract(args, parser) -> int:
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
     args.out.mkdir(parents=True, exist_ok=True)
-
-    def process(entry):
+    for entry in index.entries:
         seq = load_sequence(entry, DEFAULT_LAYOUT)
         streams = extract_features(seq, config, DEFAULT_LAYOUT, kinds=kinds)
         for kind in kinds:
@@ -112,13 +108,6 @@ def cmd_extract(args, parser) -> int:
                                     entry.trial, kind)
             write_feature_file(args.out / name, kind, streams[kind],
                                entry.gesture, entry.finger, entry.subject, entry.trial)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(process, index.entries))
-    else:
-        for entry in index.entries:
-            process(entry)
     print(f"extracted {len(kinds)} x {len(index)} feature files to {args.out}")
     return 0
 
@@ -132,15 +121,7 @@ def cmd_train(args) -> int:
     ]
     first_streams = grouped[0][1]
     dims = {name: first_streams[name].shape[1] for name in config.branches}
-    model = init_model(config.branches, dims, args.classes,
-                       hidden=config.lstm_hidden, fc_out=config.fc_out,
-                       head=config.head, dropout=config.dropout,
-                       bidirectional=config.bidirectional, seed=args.seed)
-    train_cfg = TrainConfig(
-        learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-        epsilon=config.epsilon, batch_size=config.batch_size, epochs=config.epochs,
-        rng_seed=args.seed, clip_norm=config.clip_norm, stop_accuracy=config.stop_accuracy)
-    log = train(model, samples, train_cfg)
+    model, log = train_from_config(config, samples, dims, args.classes, args.seed)
     save_checkpoint(model, args.out)
     log_path = args.log or Path(str(args.out) + ".log.csv")
     rows = ["epoch,loss,train_accuracy"]
@@ -157,7 +138,7 @@ def cmd_loocv(args) -> int:
     index = scan_dataset(args.dataset)
     sequences = [load_sequence(e, DEFAULT_LAYOUT) for e in index.entries]
     report = run_loocv(sequences, config, classes=args.classes, seed=args.seed,
-                       progress=print, jobs=args.jobs)
+                       progress=print)
     write_report(report, args.out)
     print()
     print(render_summary(report), end="")

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .geometry import DEFAULT_LAGS
+
 
 class ConfigError(Exception):
     pass
@@ -16,7 +18,7 @@ class PipelineConfig:
     # feature extraction
     dad_bins: int = 5
     sigma_scale: float = 1.5
-    lags: tuple[int, ...] = (1, 5, 10)
+    lags: tuple[int, ...] = DEFAULT_LAGS
     euler_convention: str = "xyz"
     # network architecture
     branches: tuple[str, ...] = ("global", "finger", "skeleton")
@@ -47,6 +49,13 @@ class PipelineConfig:
                 raise ConfigError(f"unknown branch: {name}")
         if not self.branches:
             raise ConfigError("at least one branch required")
+        for name in ("lstm_hidden", "fc_out", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive: {getattr(self, name)}")
+        if any(width < 1 for width in self.head):
+            raise ConfigError(f"head widths must be positive: {self.head}")
+        if any(lag < 1 for lag in self.lags):
+            raise ConfigError(f"lags must be positive: {self.lags}")
 
     @property
     def global_dim(self) -> int:
@@ -99,4 +108,7 @@ def load_config(path: str | Path | None,
             overrides[key] = _parse_value(key, value, typed[key])
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from e
-    return replace(config, **overrides)
+    try:
+        return replace(config, **overrides)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e

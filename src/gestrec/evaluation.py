@@ -4,7 +4,6 @@ accuracy-loss metric."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import DatasetEntry, DatasetIndex, make_loocv_splits
 from .features import extract_features
-from .network import Sample, TrainConfig, evaluate, init_model, train
+from .network import EpochStats, NetworkModel, Sample, TrainConfig, evaluate, init_model, train
 from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence
 
 GESTURE_NAMES_14 = (
@@ -169,20 +168,35 @@ def _split_accuracies(preds, labels, config: PipelineConfig, classes: int):
     return out
 
 
+def train_from_config(config: PipelineConfig, samples: list[Sample],
+                      input_dims: dict[str, int], classes: int,
+                      seed: int) -> tuple[NetworkModel, list[EpochStats]]:
+    """Build the model `config` describes and train it on `samples`.
+
+    `seed` drives the weights, the batch order and dropout; `input_dims` may
+    also list branches the config leaves out. Returns (model, epoch log).
+    """
+    model = init_model(config.branches, {b: input_dims[b] for b in config.branches}, classes,
+                       hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
+                       dropout=config.dropout, bidirectional=config.bidirectional, seed=seed)
+    train_cfg = TrainConfig(
+        learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
+        epsilon=config.epsilon, batch_size=config.batch_size, epochs=config.epochs,
+        rng_seed=seed, clip_norm=config.clip_norm, stop_accuracy=config.stop_accuracy)
+    return model, train(model, samples, train_cfg)
+
+
 def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = PipelineConfig(),
               classes: int = 14, seed: int = 0,
               layout: JointLayout = DEFAULT_LAYOUT,
-              progress=None, features: list[dict] | None = None,
-              jobs: int = 1) -> EvaluationReport:
+              progress=None, features: list[dict] | None = None) -> EvaluationReport:
     """Full pipeline: features, per-subject splits, training, metrics.
 
     Each split trains a fresh model (seeded from `seed` + held-out subject)
     on the other subjects' features; normalization statistics come from the
     training subset only. `progress`, if given, is called with a status line
     per split. Precomputed per-sequence feature dicts can be passed via
-    `features` to amortize extraction across repeated runs; `jobs` > 1
-    parallelizes extraction (training stays sequential, so results do not
-    depend on `jobs`).
+    `features` to amortize extraction across repeated runs.
     """
     if not sequences:
         raise EvaluationError("no sequences to evaluate")
@@ -192,14 +206,8 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     index = DatasetIndex(entries)
     splits = make_loocv_splits(index)
 
-    if features is not None:
-        feature_cache = features
-    elif jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            feature_cache = list(pool.map(
-                lambda seq: extract_features(seq, config, layout), sequences))
-    else:
-        feature_cache = [extract_features(seq, config, layout) for seq in sequences]
+    if features is None:
+        features = [extract_features(seq, config, layout) for seq in sequences]
     labels0 = [class_of(s.gesture, s.finger, classes) for s in sequences]
     input_dims = {"global": config.global_dim, "finger": config.finger_dim,
                   "skeleton": 3 * layout.joint_count}
@@ -211,20 +219,11 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     for split in splits:
         train_idx = [by_key[e.key] for e in split.train_entries]
         test_idx = [by_key[e.key] for e in split.test_entries]
-        train_samples = [Sample(feature_cache[i], labels0[i]) for i in train_idx]
-        test_samples = [Sample(feature_cache[i], labels0[i]) for i in test_idx]
+        train_samples = [Sample(features[i], labels0[i]) for i in train_idx]
+        test_samples = [Sample(features[i], labels0[i]) for i in test_idx]
 
-        model = init_model(
-            config.branches, {b: input_dims[b] for b in config.branches}, classes,
-            hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
-            dropout=config.dropout, bidirectional=config.bidirectional,
-            seed=seed + split.held_out_subject)
-        train_cfg = TrainConfig(
-            learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-            epsilon=config.epsilon, batch_size=config.batch_size, epochs=config.epochs,
-            rng_seed=seed + split.held_out_subject, clip_norm=config.clip_norm,
-            stop_accuracy=config.stop_accuracy)
-        log = train(model, train_samples, train_cfg)
+        model, log = train_from_config(config, train_samples, input_dims, classes,
+                                       seed + split.held_out_subject)
 
         preds0, _ = evaluate(model, test_samples)
         preds = preds0 + 1

@@ -21,6 +21,7 @@ from .skeleton import (
 
 FEATURE_MAGIC = "GESTREC-FEAT 1"
 FEATURE_KINDS = ("global", "finger", "skeleton")
+_HEADER_COUNTS = ("dims", "frames", "gesture", "finger", "subject", "trial")
 
 
 class FeatureError(Exception):
@@ -72,10 +73,18 @@ def write_feature_file(path: str | Path, kind: str, array: np.ndarray,
 def read_feature_file(path: str | Path):
     """Returns (metadata dict, (frames, dims) float64 array)."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
+        magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != FEATURE_MAGIC:
             raise FeatureError(f"{path}: bad magic line {magic!r}")
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as e:
+            raise FeatureError(f"{path}: header is not JSON: {e}") from e
+        if not isinstance(header, dict) or not isinstance(header.get("kind"), str) \
+                or not all(type(header.get(k)) is int and header[k] >= 0
+                           for k in _HEADER_COUNTS):
+            raise FeatureError(f"{path}: header needs a string 'kind' and non-negative "
+                               f"integers {', '.join(_HEADER_COUNTS)}")
         if fh.readline() != b"BINARY\n":
             raise FeatureError(f"{path}: missing BINARY marker")
         payload = fh.read()

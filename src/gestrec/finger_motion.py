@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DegenerateInput, kabsch_align, wrap_angle
+from .geometry import DEFAULT_LAGS, DegenerateInput, kabsch_align, with_differences
 from .hand_model import DEFAULT_TEMPLATE, PALM_NORMAL, HandTemplate, reference_palm
 from .skeleton import DEFAULT_LAYOUT, FINGER_NAMES, JointLayout, SkeletonSequence
-
-DEFAULT_LAGS = (1, 5, 10)
-_SEGMENTS = ("proximal", "middle", "distal")
 
 
 class ZeroLengthBone(Exception):
@@ -101,9 +98,4 @@ def finger_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
             e.args = (f"frame {t}: {e}",)
             raise
 
-    offset = wrap_angle(theta - theta[0:1])
-    dynamic = [
-        wrap_angle(theta - theta[np.maximum(np.arange(t_count) - lag, 0)])
-        for lag in lags
-    ]
-    return np.concatenate([theta, offset, *dynamic], axis=1)
+    return with_differences(theta, lags)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+DEFAULT_LAGS = (1, 5, 10)
+
 
 class DegenerateInput(Exception):
     """Point set too flat (rank < 2) to determine a rotation."""
@@ -16,6 +18,21 @@ class NotARotation(Exception):
 def wrap_angle(x):
     """Wrap angles to (-pi, pi]."""
     return np.pi - np.remainder(np.pi - np.asarray(x, dtype=np.float64), 2 * np.pi)
+
+
+def with_differences(pose: np.ndarray, lags: tuple[int, ...],
+                     first_angle: int = 0) -> np.ndarray:
+    """Per-frame pose (T, d) extended to (T, d * (2 + len(lags))).
+
+    Appends the offset from frame 1 and the differences to the frames `lags`
+    steps back (clamped to frame 1). Difference columns from `first_angle` on
+    are wrapped to (-pi, pi]; the ones before it stay plain.
+    """
+    t = np.arange(pose.shape[0])
+    back = np.stack([np.zeros_like(t)] + [np.maximum(t - lag, 0) for lag in lags])
+    diffs = pose[None] - pose[back]
+    diffs[..., first_angle:] = wrap_angle(diffs[..., first_angle:])
+    return np.concatenate([pose, *diffs], axis=1)
 
 
 def kabsch_align(points: np.ndarray, reference: np.ndarray):

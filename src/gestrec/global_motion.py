@@ -6,19 +6,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import erf, erfinv
 
 from .geometry import (
+    DEFAULT_LAGS,
     DegenerateInput,
     cartesian_to_spherical,
     kabsch_align,
     rotation_to_euler,
-    wrap_angle,
+    with_differences,
 )
 from .hand_model import DEFAULT_TEMPLATE, reference_palm
 from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, palm_radius
-
-DEFAULT_LAGS = (1, 5, 10)
 
 
 class InvalidConfig(Exception):
@@ -60,29 +59,15 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     """Bin edges eta_1..eta_M with equal Gaussian mass per bin on [0, sigma].
 
     The kernel is g(x) = exp(-x^2 / (2 sigma^2)); edge i solves
-    integral(g, 0, eta_i) = (i/M) * integral(g, 0, sigma). Edges are found by
-    bisection on the numerically integrated kernel to within 1e-9 * sigma;
-    the last edge is sigma exactly.
+    integral(g, 0, eta_i) = (i/M) * integral(g, 0, sigma), which has the
+    closed form eta_i = sigma * sqrt(2) * erfinv((i/M) * erf(1/sqrt(2))).
+    The last edge is sigma exactly.
     """
     if bins < 1 or sigma <= 0:
         raise InvalidConfig(f"bins={bins}, sigma={sigma}")
-
-    def mass(upper):
-        return quad(lambda x: np.exp(-x * x / (2.0 * sigma * sigma)), 0.0, upper)[0]
-
-    total = mass(sigma)
     edges = np.empty(bins)
+    edges[:-1] = sigma * np.sqrt(2.0) * erfinv(np.arange(1, bins) / bins * erf(np.sqrt(0.5)))
     edges[-1] = sigma
-    for i in range(1, bins):
-        target = total * i / bins
-        lo, hi = 0.0, sigma
-        while hi - lo > 1e-9 * sigma:
-            mid = 0.5 * (lo + hi)
-            if mass(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        edges[i - 1] = 0.5 * (lo + hi)
     return edges
 
 
@@ -111,13 +96,6 @@ def frame_global_pose(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
     points = np.asarray(frame, dtype=np.float64)[list(layout.global_indices)]
     rot, trans = kabsch_align(points, reference)
     return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
-
-
-def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Feature difference with angle slots wrapped; the bin slot stays plain."""
-    d = a - b
-    d[..., 1:] = wrap_angle(d[..., 1:])
-    return d
 
 
 def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
@@ -149,9 +127,4 @@ def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
         rx, ry, rz = rotation_to_euler(rot, convention)
         phi[t] = (discretize_rho(rho, config), theta, azimuth, rx, ry, rz)
 
-    offset = _difference(phi, phi[0:1])
-    dynamic = [
-        _difference(phi, phi[np.maximum(np.arange(t_count) - lag, 0)])
-        for lag in lags
-    ]
-    return np.concatenate([phi, offset, *dynamic], axis=1)
+    return with_differences(phi, lags, first_angle=1)

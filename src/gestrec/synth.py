@@ -46,6 +46,8 @@ class GestureScript:
     noise_sigma: float = 0.001
 
     def __post_init__(self):
+        if not 1 <= self.duration[0] <= self.duration[1]:
+            raise InvalidConfig(f"script {self.name}: bad duration range {self.duration}")
         for channel, points in self.curves.items():
             if channel not in GLOBAL_CHANNELS and channel not in ANGLE_CHANNELS:
                 raise InvalidConfig(f"unknown channel {channel!r} in script {self.name}")
@@ -174,33 +176,37 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
             raise InvalidConfig(f"script {name}: missing gesture id")
         scripts.append(GestureScript(name=name, curves=dict(curves), **fields))
 
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             flush()
             parts = line[1:-1].split()
             if len(parts) != 2 or parts[0] != "script":
-                raise InvalidConfig(f"bad section header: {raw!r}")
+                raise InvalidConfig(f"{where}: bad section header: {raw!r}")
             name, fields, curves = parts[1], {}, {}
             continue
         if name is None or "=" not in line:
-            raise InvalidConfig(f"unexpected line outside a script section: {raw!r}")
+            raise InvalidConfig(f"{where}: unexpected line outside a script section: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in ("gesture", "finger"):
-            fields[key] = int(value)
-        elif key == "duration":
-            lo, hi = value.split()
-            fields[key] = (int(lo), int(hi))
-        elif key in ("amp_jitter", "speed_jitter", "noise_sigma"):
-            fields[key] = float(value)
-        else:
-            points = []
-            for chunk in value.split(","):
-                t, v = chunk.split(":")
-                points.append((float(t), float(v)))
-            curves[key] = tuple(points)
+        try:
+            if key in ("gesture", "finger"):
+                fields[key] = int(value)
+            elif key == "duration":
+                lo, hi = value.split()
+                fields[key] = (int(lo), int(hi))
+            elif key in ("amp_jitter", "speed_jitter", "noise_sigma"):
+                fields[key] = float(value)
+            else:
+                points = []
+                for chunk in value.split(","):
+                    t, v = chunk.split(":")
+                    points.append((float(t), float(v)))
+                curves[key] = tuple(points)
+        except ValueError as e:
+            raise InvalidConfig(f"{where}: bad value for {key!r}: {value!r} ({e})") from e
     flush()
     if not scripts:
         raise InvalidConfig(f"no scripts found in {path}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,55 @@ def test_loocv_report_files(synth_root, config_file, tmp_path, capsys):
     # row sums equal per-class true counts: 6 per gesture for gestures 1..6
     np.testing.assert_array_equal(cells.sum(axis=1)[:6], 6)
     assert "LOOCV over 3 subjects" in capsys.readouterr().out
+
+
+FEATURE_HEADER = {"kind": "global", "dims": 30, "frames": 4,
+                  "gesture": 1, "finger": 1, "subject": 1, "trial": 1}
+
+
+def _header_without(key):
+    return json.dumps({k: v for k, v in FEATURE_HEADER.items() if k != key})
+
+
+MALFORMED = [
+    ("synth", "scripts", "[script a]\ngesture = x\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\nduration = 5\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\ntx = 0.1\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\nduration = 9 5\n[script b]\ngesture = 2\n"),
+    ("train", "header", "{not json"),
+    ("train", "header", _header_without("frames")),
+    ("train", "header", _header_without("dims")),
+    ("train", "header", _header_without("kind")),
+    ("train", "header", _header_without("subject")),
+    ("train", "config", TINY_CONFIG + "lstm_hidden = 0\n"),
+    ("train", "config", TINY_CONFIG + "fc_out = 0\n"),
+    ("train", "config", TINY_CONFIG + "epochs = 0\n"),
+    ("loocv", "config", TINY_CONFIG + "head = 8, 0\n"),
+    ("loocv", "config", TINY_CONFIG + "batch_size = 0\n"),
+    ("extract", "config", "lags = 1, -2\n"),
+]
+
+
+@pytest.mark.parametrize("command,kind,content", MALFORMED,
+                         ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(MALFORMED)])
+def test_malformed_input_is_one_line_error(command, kind, content, synth_root, feature_dir,
+                                           tmp_path, capsys):
+    inputs = {"synth": ["--out", tmp_path / "data"],
+              "train": ["--features", feature_dir, "--out", tmp_path / "m.ckpt"],
+              "loocv": ["--dataset", synth_root, "--out", tmp_path / "report"],
+              "extract": ["--dataset", synth_root, "--out", tmp_path / "feats"]}[command]
+    path = tmp_path / "input.txt"
+    if kind == "header":
+        inputs[1] = tmp_path / "bad_feats"
+        inputs[1].mkdir()
+        path = inputs[1] / "g01_f01_s01_t01_global.feat"
+        path.write_bytes(b"GESTREC-FEAT 1\n" + content.encode() + b"\nBINARY\n"
+                         + bytes(8 * 4 * 30))
+    else:
+        path.write_text(content)
+        inputs += ["--scripts" if kind == "scripts" else "--config", path]
+    assert run([command, *inputs]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gestrec {command}: error:"), err

@@ -9,6 +9,7 @@ from gestrec.geometry import (
     euler_to_matrix,
     kabsch_align,
     rotation_to_euler,
+    with_differences,
     wrap_angle,
 )
 from gestrec.hand_model import reference_palm
@@ -150,3 +151,16 @@ def test_wrap_angle_range_and_values():
     assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)
     np.testing.assert_allclose(np.sin(wrapped), np.sin(xs), atol=1e-12)
     np.testing.assert_allclose(np.cos(wrapped), np.cos(xs), atol=1e-12)
+
+
+def test_with_differences_matches_per_lag_loop():
+    pose = np.random.default_rng(7).uniform(-3.0, 3.0, (12, 4))
+    out = with_differences(pose, (1, 5), first_angle=1)
+    assert out.shape == (12, 16)
+    np.testing.assert_array_equal(out[:, :4], pose)
+    for block, back in enumerate((np.zeros(12, int), np.maximum(np.arange(12) - 1, 0),
+                                  np.maximum(np.arange(12) - 5, 0)), start=1):
+        expected = pose - pose[back]
+        expected[:, 1:] = wrap_angle(expected[:, 1:])
+        np.testing.assert_array_equal(out[:, 4 * block:4 * block + 4], expected)
+    assert np.abs(out[:, 4]).max() > np.pi  # the plain column is not wrapped
