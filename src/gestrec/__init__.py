@@ -18,6 +18,7 @@ from .dataset import (
     make_loocv_splits,
     scan_dataset,
 )
+from .errors import GestrecError
 from .evaluation import (
     EvaluationReport,
     accuracy,

@@ -7,34 +7,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_config
-from .dataset import DatasetError, load_sequence, scan_dataset
-from .evaluation import (
-    EvaluationError,
-    class_of,
-    render_summary,
-    run_loocv,
-    train_from_config,
-    write_report,
-)
+from .config import load_config
+from .dataset import load_sequence, scan_dataset
+from .errors import GestrecError
+from .evaluation import class_of, render_summary, run_loocv, train_from_config, write_report
 from .features import (
     FEATURE_KINDS,
-    FeatureError,
     extract_features,
     feature_filename,
     load_feature_dir,
     write_feature_file,
 )
-from .finger_motion import ZeroLengthBone
-from .geometry import DegenerateInput, NotARotation
-from .global_motion import InvalidConfig as InvalidDadConfig
-from .network import NetworkError, Sample, save_checkpoint
-from .skeleton import DEFAULT_LAYOUT, SkeletonError
-from .synth import InvalidConfig, builtin_scripts, export_dhg_tree, generate_dataset, parse_scripts
+from .network import Sample, save_checkpoint
+from .skeleton import DEFAULT_LAYOUT
+from .synth import builtin_scripts, export_dhg_tree, generate_dataset, parse_scripts
 
-_RUNTIME_ERRORS = (ConfigError, DatasetError, FeatureError, NetworkError, SkeletonError,
-                   EvaluationError, InvalidConfig, InvalidDadConfig, ZeroLengthBone,
-                   DegenerateInput, NotARotation, OSError)
+
+def _report_error(command: str, message) -> None:
+    print(f"gestrec {command}: error: {message}", file=sys.stderr)
 
 
 def _add_config_arg(parser):
@@ -100,16 +90,26 @@ def cmd_extract(args, parser) -> int:
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
     args.out.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for entry in index.entries:
-        seq = load_sequence(entry, DEFAULT_LAYOUT)
-        streams = extract_features(seq, config, DEFAULT_LAYOUT, kinds=kinds)
+        # A bad sequence is reported and skipped; an OSError on output aborts.
+        try:
+            streams = extract_features(load_sequence(entry, DEFAULT_LAYOUT), config,
+                                       DEFAULT_LAYOUT, kinds=kinds)
+        except GestrecError as e:
+            reason = str(e)
+            if not reason.startswith(str(entry.path)):
+                reason = f"{entry.path}: {reason}"
+            _report_error(args.command, reason)
+            failed += 1
+            continue
         for kind in kinds:
             name = feature_filename(entry.gesture, entry.finger, entry.subject,
                                     entry.trial, kind)
             write_feature_file(args.out / name, kind, streams[kind],
                                entry.gesture, entry.finger, entry.subject, entry.trial)
-    print(f"extracted {len(kinds)} x {len(index)} feature files to {args.out}")
-    return 0
+    print(f"extracted {len(kinds)} x {len(index) - failed} feature files to {args.out}")
+    return 1 if failed else 0
 
 
 def cmd_train(args) -> int:
@@ -158,8 +158,8 @@ def main(argv=None) -> int:
             return cmd_train(args)
         if args.command == "loocv":
             return cmd_loocv(args)
-    except _RUNTIME_ERRORS as e:
-        print(f"gestrec {args.command}: error: {e}", file=sys.stderr)
+    except (GestrecError, OSError) as e:
+        _report_error(args.command, e)
         return 1
     raise AssertionError("unreachable")
 

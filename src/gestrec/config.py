@@ -3,13 +3,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .errors import GestrecError
 from .geometry import DEFAULT_LAGS
 
 
-class ConfigError(Exception):
+class ConfigError(GestrecError):
     pass
 
 
@@ -56,6 +58,16 @@ class PipelineConfig:
             raise ConfigError(f"head widths must be positive: {self.head}")
         if any(lag < 1 for lag in self.lags):
             raise ConfigError(f"lags must be positive: {self.lags}")
+        for name in ("learning_rate", "epsilon", "clip_norm"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative: {getattr(self, name)}")
+        if self.epsilon == 0:
+            raise ConfigError("epsilon must be positive: 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1): {getattr(self, name)}")
+        if not 0.0 <= self.stop_accuracy <= 1.0:
+            raise ConfigError(f"stop_accuracy must be in [0, 1]: {self.stop_accuracy}")
 
     @property
     def global_dim(self) -> int:

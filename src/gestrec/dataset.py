@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import GestrecError
 from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, WrongJointCount
 
 
-class DatasetError(Exception):
+class DatasetError(GestrecError):
     pass
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import DatasetEntry, DatasetIndex, make_loocv_splits
+from .errors import GestrecError
 from .features import extract_features
 from .network import EpochStats, NetworkModel, Sample, TrainConfig, evaluate, init_model, train
 from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence
@@ -24,7 +25,7 @@ GESTURE_NAMES_14 = (
 CATEGORIES = ("fine", "coarse", "both")
 
 
-class EvaluationError(Exception):
+class EvaluationError(GestrecError):
     pass
 
 

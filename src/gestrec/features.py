@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .config import PipelineConfig
+from .errors import GestrecError
 from .finger_motion import finger_features
 from .global_motion import dad_config_for_sequence, global_features
 from .hand_model import DEFAULT_TEMPLATE, HandTemplate, reference_palm
@@ -24,7 +25,7 @@ FEATURE_KINDS = ("global", "finger", "skeleton")
 _HEADER_COUNTS = ("dims", "frames", "gesture", "finger", "subject", "trial")
 
 
-class FeatureError(Exception):
+class FeatureError(GestrecError):
     pass
 
 
@@ -52,7 +53,7 @@ def feature_filename(gesture: int, finger: int, subject: int, trial: int, kind: 
 
 def write_feature_file(path: str | Path, kind: str, array: np.ndarray,
                        gesture: int, finger: int, subject: int, trial: int) -> None:
-    """Self-describing header + frame-major float64 LE payload."""
+    """Self-describing header + frame-major float64 LE payload, written atomically."""
     array = np.asarray(array, dtype=np.float64)
     header = {
         "kind": kind,
@@ -63,36 +64,20 @@ def write_feature_file(path: str | Path, kind: str, array: np.ndarray,
         "subject": subject,
         "trial": trial,
     }
-    with open(path, "wb") as fh:
-        fh.write(f"{FEATURE_MAGIC}\n".encode())
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(b"BINARY\n")
-        fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    container.write(path, FEATURE_MAGIC, header, [array])
 
 
 def read_feature_file(path: str | Path):
     """Returns (metadata dict, (frames, dims) float64 array)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode(errors="replace").rstrip("\n")
-        if magic != FEATURE_MAGIC:
-            raise FeatureError(f"{path}: bad magic line {magic!r}")
-        try:
-            header = json.loads(fh.readline())
-        except ValueError as e:
-            raise FeatureError(f"{path}: header is not JSON: {e}") from e
-        if not isinstance(header, dict) or not isinstance(header.get("kind"), str) \
-                or not all(type(header.get(k)) is int and header[k] >= 0
-                           for k in _HEADER_COUNTS):
-            raise FeatureError(f"{path}: header needs a string 'kind' and non-negative "
-                               f"integers {', '.join(_HEADER_COUNTS)}")
-        if fh.readline() != b"BINARY\n":
-            raise FeatureError(f"{path}: missing BINARY marker")
-        payload = fh.read()
-    expected = 8 * header["frames"] * header["dims"]
-    if len(payload) != expected:
-        raise FeatureError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    array = np.frombuffer(payload, dtype="<f8").reshape(header["frames"], header["dims"]).copy()
-    return header, array
+    header, payload = container.read(path, FEATURE_MAGIC, FeatureError)
+    if not isinstance(header.get("kind"), str) \
+            or not all(type(header.get(k)) is int and header[k] >= 0 for k in _HEADER_COUNTS):
+        raise FeatureError(f"{path}: header needs a string 'kind' and non-negative "
+                           f"integers {', '.join(_HEADER_COUNTS)}")
+    expected = header["frames"] * header["dims"]
+    if payload.size != expected:
+        raise FeatureError(f"{path}: payload is {8 * payload.size} bytes, expected {8 * expected}")
+    return header, payload.reshape(header["frames"], header["dims"]).copy()
 
 
 def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KINDS):

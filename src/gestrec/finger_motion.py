@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GestrecError
 from .geometry import DEFAULT_LAGS, DegenerateInput, kabsch_align, with_differences
 from .hand_model import DEFAULT_TEMPLATE, PALM_NORMAL, HandTemplate, reference_palm
 from .skeleton import DEFAULT_LAYOUT, FINGER_NAMES, JointLayout, SkeletonSequence
 
 
-class ZeroLengthBone(Exception):
+class ZeroLengthBone(GestrecError):
     def __init__(self, finger: str, segment: str):
         self.finger = finger
         self.segment = segment

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GestrecError
+
 DEFAULT_LAGS = (1, 5, 10)
 
 
-class DegenerateInput(Exception):
+class DegenerateInput(GestrecError):
     """Point set too flat (rank < 2) to determine a rotation."""
 
 
-class NotARotation(Exception):
+class NotARotation(GestrecError):
     pass
 
 

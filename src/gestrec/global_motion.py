@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfinv
 
+from .errors import InvalidConfig
 from .geometry import (
     DEFAULT_LAGS,
     DegenerateInput,
@@ -18,10 +19,6 @@ from .geometry import (
 )
 from .hand_model import DEFAULT_TEMPLATE, reference_palm
 from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, palm_radius
-
-
-class InvalidConfig(Exception):
-    pass
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,20 @@ run is deterministic given its seed on a single thread.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import container
+from .dataset import EmptyDataset
+from .errors import GestrecError
+
 CHECKPOINT_MAGIC = "GESTREC-CKPT 1"
 PROB_FLOOR = 1e-12
 
 
-class NetworkError(Exception):
+class NetworkError(GestrecError):
     pass
 
 
@@ -32,10 +35,6 @@ class InvalidMask(NetworkError):
 
 
 class LabelOutOfRange(NetworkError):
-    pass
-
-
-class EmptyDataset(NetworkError):
     pass
 
 
@@ -581,7 +580,7 @@ def _array_manifest(model: NetworkModel):
 
 
 def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
-    """Text header (architecture + array manifest) then float64 LE payload."""
+    """Header (architecture + array manifest) then the float64 LE arrays, written atomically."""
     arrays = _array_manifest(model)
     header = {
         "classes": model.classes,
@@ -595,43 +594,32 @@ def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
         "seed": model.seed,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    with open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC}\n".encode())
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(b"BINARY\n")
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    container.write(path, CHECKPOINT_MAGIC, header, [arr for _, arr in arrays])
 
 
 def load_checkpoint(path: str | Path) -> NetworkModel:
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic line: {magic!r}")
-        header = json.loads(fh.readline().decode())
-        marker = fh.readline()
-        if marker != b"BINARY\n":
-            raise CheckpointError("missing BINARY marker")
-        payload = fh.read()
-
-    model = NetworkModel(
-        branches=tuple(header["branches"]),
-        input_dims={k: int(v) for k, v in header["input_dims"].items()},
-        classes=header["classes"], hidden=header["hidden"], fc_out=header["fc_out"],
-        head=tuple(header["head"]), dropout=header["dropout"],
-        bidirectional=header["bidirectional"], seed=header["seed"])
+    """Rebuild the header's architecture with `init_model` and fill its arrays
+    from the payload; the header's manifest and the payload size must match
+    that architecture exactly."""
+    header, payload = container.read(path, CHECKPOINT_MAGIC, CheckpointError)
+    dropout = header.get("dropout")
+    if type(header.get("bidirectional")) is not bool \
+            or type(dropout) not in (int, float) or not 0 <= dropout < 1:
+        raise CheckpointError(f"{path}: header needs a boolean 'bidirectional' "
+                              f"and a 'dropout' in [0, 1)")
+    try:
+        model = init_model(header["branches"], header["input_dims"], header["classes"],
+                           header["hidden"], header["fc_out"], header["head"],
+                           dropout, header["bidirectional"], header["seed"])
+    except (KeyError, TypeError, ValueError, OverflowError, NetworkError) as e:
+        raise CheckpointError(f"{path}: bad architecture in header: {e!r}") from e
+    arrays = _array_manifest(model)
+    if header.get("arrays") != [[name, list(arr.shape)] for name, arr in arrays] \
+            or payload.size != sum(arr.size for _, arr in arrays):
+        raise CheckpointError(f"{path}: array manifest or payload size does not match "
+                              f"the architecture in the header")
     offset = 0
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += 8 * count
-        if name.startswith("params/"):
-            model.params[name[len("params/"):]] = arr
-        elif name.startswith("norm/"):
-            _, branch, kind = name.split("/")
-            model.norm.setdefault(branch, {})[kind] = arr
-        else:
-            raise CheckpointError(f"unknown array kind: {name}")
-    if offset != len(payload):
-        raise CheckpointError("payload size does not match manifest")
+    for _, arr in arrays:
+        arr[...] = payload[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return model

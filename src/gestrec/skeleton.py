@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GestrecError
 
-class SkeletonError(Exception):
+
+class SkeletonError(GestrecError):
     """Base class for skeleton data errors."""
 
 
@@ -26,6 +28,10 @@ class NonFiniteCoordinate(SkeletonError):
         self.frame = frame
         self.joint = joint
         super().__init__(f"non-finite coordinate at frame {frame}, joint {joint}")
+
+
+class EmptySequence(SkeletonError):
+    pass
 
 
 class DegeneratePalm(SkeletonError):
@@ -118,13 +124,15 @@ def sequence_from_frames(frames, layout: JointLayout = DEFAULT_LAYOUT,
 
 def validate_sequence(seq: SkeletonSequence,
                       layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
-    """Check joint counts and finiteness; return the sequence unchanged."""
+    """Check frame and joint counts and finiteness; return the sequence unchanged."""
     pos = seq.positions
     if pos.ndim != 3 or pos.shape[2] != 3:
         raise WrongJointCount(0, pos.shape[1] if pos.ndim >= 2 else 0,
                               layout.joint_count)
     if pos.shape[1] != layout.joint_count:
         raise WrongJointCount(0, pos.shape[1], layout.joint_count)
+    if pos.shape[0] == 0:
+        raise EmptySequence("sequence has no frames")
     finite = np.isfinite(pos).all(axis=2)
     if not finite.all():
         frame, joint = np.argwhere(~finite)[0]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .hand_model import (
     ANGLE_CHANNELS,
     DEFAULT_TEMPLATE,
@@ -23,10 +24,6 @@ from .hand_model import (
 from .skeleton import SkeletonSequence
 
 ANGLE_LIMIT = 1.2
-
-
-class InvalidConfig(Exception):
-    pass
 
 
 Curve = tuple[tuple[float, float], ...]  # (time in [0,1], value) control points

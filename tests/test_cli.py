@@ -1,10 +1,16 @@
+import importlib
+import inspect
 import json
+import pkgutil
+import shutil
 
 import numpy as np
 import pytest
 
+import gestrec
 from gestrec.cli import main
 from gestrec.dataset import scan_dataset
+from gestrec.errors import GestrecError
 from gestrec.features import read_feature_file
 from gestrec.network import load_checkpoint
 
@@ -76,6 +82,28 @@ def test_extract_rerun_is_byte_identical(synth_root, feature_dir, tmp_path):
     assert run(["extract", "--dataset", synth_root, "--out", again]) == 0
     for path in sorted(feature_dir.glob("*.feat")):
         assert (again / path.name).read_bytes() == path.read_bytes()
+
+
+def test_extract_reports_bad_sequences_and_writes_the_rest(synth_root, feature_dir, tmp_path,
+                                                           capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_root, data)
+    skeletons = [entry.path for entry in scan_dataset(data).entries]
+    bad = {skeletons[5]: "nan", skeletons[20]: "x"}
+    for path, token in bad.items():
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join([token] + lines[3].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "feats"
+    assert run(["extract", "--dataset", data, "--out", out]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == len(bad)
+    for line, path in zip(errors, bad):
+        assert line.startswith(f"gestrec extract: error: {path}:"), line
+    written = sorted(p.name for p in out.iterdir())
+    assert len(written) == 3 * (len(skeletons) - len(bad))
+    for name in written:
+        assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
 
 
 def test_extract_unknown_kind_is_usage_error(synth_root, tmp_path):
@@ -179,6 +207,10 @@ MALFORMED = [
     ("loocv", "config", TINY_CONFIG + "head = 8, 0\n"),
     ("loocv", "config", TINY_CONFIG + "batch_size = 0\n"),
     ("extract", "config", "lags = 1, -2\n"),
+    ("train", "config", TINY_CONFIG + "learning_rate = nan\n"),
+    ("train", "config", TINY_CONFIG + "clip_norm = -3\n"),
+    ("loocv", "config", TINY_CONFIG + "beta1 = 1\n"),
+    ("loocv", "config", TINY_CONFIG + "stop_accuracy = 7\n"),
 ]
 
 
@@ -205,3 +237,13 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"gestrec {command}: error:"), err
+
+
+def test_every_package_exception_is_a_gestrec_error():
+    defined = []
+    for info in pkgutil.iter_modules(gestrec.__path__):
+        module = importlib.import_module(f"gestrec.{info.name}")
+        defined += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, Exception) and cls.__module__ == module.__name__]
+    assert len(defined) > 10
+    assert [cls for cls in defined if not issubclass(cls, GestrecError)] == []

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ def test_feature_file_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(FeatureError):
         read_feature_file(path)
+
+
+def test_failed_replace_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / feature_filename(1, 1, 1, 1, "global")
+    write_feature_file(path, "global", np.zeros((4, 30)), 1, 1, 1, 1)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_feature_file(path, "global", np.ones((9, 30)), 1, 1, 1, 1)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert len(load_feature_dir(tmp_path, kinds=("global",))) == 1
 
 
 def test_load_feature_dir_groups_and_sorts(tmp_path):

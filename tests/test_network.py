@@ -1,9 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gestrec.network import (
+    CheckpointError,
     EmptyDataset,
     InvalidMask,
     LabelOutOfRange,
@@ -401,6 +404,32 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
     streams = {name: rng.normal(size=(5, dim)) for name, dim in model.input_dims.items()}
     np.testing.assert_array_equal(predict(model, streams)[1], predict(loaded, streams)[1])
+
+
+def _with_header(header, **changes):
+    return json.dumps({**header, **changes}, sort_keys=True).encode()
+
+
+# Each case maps (magic line, header dict, BINARY marker + payload) to file bytes.
+CORRUPT_CHECKPOINTS = {
+    "truncated": lambda m, h, rest: [m, _with_header(h), rest[:-13]],
+    "trailing-bytes": lambda m, h, rest: [m, _with_header(h), rest + bytes(8)],
+    "header-not-json": lambda m, h, rest: [m, b"{hidden", rest],
+    "no-hidden": lambda m, h, rest: [m, _with_header({k: v for k, v in h.items()
+                                                      if k != "hidden"}), rest],
+    "magic-not-utf8": lambda m, h, rest: [b"\xff\xfe" + m, _with_header(h), rest],
+    "hidden-mismatch": lambda m, h, rest: [m, _with_header(h, hidden=h["hidden"] + 1), rest],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_malformed_checkpoint_raises_checkpoint_error(case, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(seed=36), path)
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join(CORRUPT_CHECKPOINTS[case](magic, json.loads(header), rest)))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
 
 
 def test_unidirectional_mode_works():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from gestrec.features import extract_features
 from gestrec.skeleton import (
     DEFAULT_LAYOUT,
     DegeneratePalm,
+    EmptySequence,
     GestureLabel,
     JointLayout,
     NonFiniteCoordinate,
@@ -54,6 +56,14 @@ def test_validate_wrong_joint_count():
     with pytest.raises(WrongJointCount) as err:
         validate_sequence(seq)
     assert err.value.found == 21
+
+
+def test_validate_rejects_zero_frames():
+    seq = SkeletonSequence(np.zeros((0, 22, 3)))
+    with pytest.raises(EmptySequence):
+        validate_sequence(seq)
+    with pytest.raises(EmptySequence):
+        extract_features(seq)
 
 
 def test_sequence_from_frames_reports_ragged_frame():
