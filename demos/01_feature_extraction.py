@@ -30,10 +30,10 @@ print("equal-Gaussian-mass bin edges (cm):", np.round(dad.thresholds * 100, 2))
 
 print("\nper-frame rigid pose (every 6th frame):")
 print(f"{'frame':>5} {'rho (cm)':>9} {'theta':>7} {'phi':>7} {'r_x':>7} {'r_y':>7} {'r_z':>7}")
-for t in range(0, seq.num_frames, 6):
-    pose = frame_global_pose(seq.positions[t])
-    rho, theta, phi = pose.translation_spherical
-    rx, ry, rz = pose.rotation
+frames = np.arange(0, seq.num_frames, 6)
+pose = frame_global_pose(seq.positions[frames])    # one call on the frame stack
+for row in zip(frames, *pose.translation_spherical, *pose.rotation):
+    t, rho, theta, phi, rx, ry, rz = row
     print(f"{t:>5} {rho * 100:>9.2f} {theta:>7.3f} {phi:>7.3f} "
           f"{rx:>7.3f} {ry:>7.3f} {rz:>7.3f}")
 

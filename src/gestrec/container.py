@@ -41,7 +41,7 @@ def read(path, magic: str, error_cls: type[Exception]):
             raise error_cls(f"{path}: header is not a JSON object")
         if fh.readline() != _MARKER:
             raise error_cls(f"{path}: missing BINARY marker")
-        payload = fh.read()
+        payload = fh.read(os.fstat(fh.fileno()).st_size - fh.tell())
     if len(payload) % 8:
         raise error_cls(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
     return header, np.frombuffer(payload, dtype="<f8")

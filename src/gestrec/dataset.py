@@ -107,12 +107,12 @@ def load_sequence(entry: DatasetEntry,
     expected = 3 * layout.joint_count
     frames = []
     with open(entry.path, "r") as fh:
-        for lineno, raw in enumerate(fh):
+        for lineno, raw in enumerate(fh, start=1):
             tokens = raw.split()
             if not tokens:
                 continue
             if len(tokens) != expected:
-                raise WrongJointCount(lineno, len(tokens), expected)
+                raise WrongJointCount(len(frames), len(tokens), expected)
             try:
                 values = [float(tok) for tok in tokens]
             except ValueError as e:

@@ -42,27 +42,35 @@ def kabsch_align(points: np.ndarray, reference: np.ndarray):
 
     Returns (R, t) minimizing sum ||R @ reference[i] + t - points[i]||^2 with
     R a proper rotation (the reflection case is repaired by flipping the sign
-    of the smallest singular value).
+    of the smallest singular value). `points` is one frame (N, 3), giving R
+    (3, 3) and t (3,), or a frame stack (T, N, 3), giving R (T, 3, 3) and
+    t (T, 3); `reference` is (N, 3). A flat frame of a stack is named by its
+    index in the `DegenerateInput` message.
     """
     pts = np.asarray(points, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
-    if pts.shape != ref.shape or pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"point sets must share shape (N, 3), got {pts.shape} vs {ref.shape}")
+    if ref.ndim != 2 or ref.shape[1] != 3 or pts.ndim not in (2, 3) \
+            or pts.shape[-2:] != ref.shape:
+        raise ValueError(f"expected (N, 3) or (T, N, 3) points against an (N, 3) "
+                         f"reference, got {pts.shape} vs {ref.shape}")
 
-    centroid_pts = pts.mean(axis=0)
+    centroid_pts = pts.mean(axis=-2)
     centroid_ref = ref.mean(axis=0)
-    p = pts - centroid_pts
+    p = pts - centroid_pts[..., None, :]
     q = ref - centroid_ref
 
     for centered in (q, p):
         s = np.linalg.svd(centered, compute_uv=False)
-        if s[1] <= 1e-12 * max(s[0], 1.0):
-            raise DegenerateInput("centered point matrix has rank < 2")
+        flat = s[..., 1] <= 1e-12 * np.maximum(s[..., 0], 1.0)
+        if flat.any():
+            where = f"frame {np.argmax(flat)}: " if flat.ndim else ""
+            raise DegenerateInput(f"{where}centered point matrix has rank < 2")
 
     h = q.T @ p
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    flip = np.ones(h.shape[:-1])
+    flip[..., 2] = np.sign(np.linalg.det(vt.mT @ u.mT))
+    r = (vt.mT * flip[..., None, :]) @ u.mT
     t = centroid_pts - r @ centroid_ref
     return r, t
 
@@ -86,54 +94,51 @@ def euler_to_matrix(rx: float, ry: float, rz: float, convention: str = "xyz") ->
     raise ValueError(f"unknown Euler convention: {convention!r}")
 
 
-def _principal(angle: float) -> float:
-    """atan2 results live in [-pi, pi]; fold the -pi edge onto +pi."""
-    return np.pi if angle == -np.pi else float(angle)
-
-
 def rotation_to_euler(r: np.ndarray, convention: str = "xyz"):
     """Intrinsic Euler angles (r_x, r_y, r_z) of a proper rotation matrix.
 
-    Near gimbal lock (|middle-axis sine| > 1 - 1e-9) the last angle of the
-    composition is fixed to 0 and the remaining angle absorbs the rest.
+    `r` is one matrix (3, 3), giving three scalars, or a stack (T, 3, 3),
+    giving three (T,) arrays. Near gimbal lock (|middle-axis sine| >
+    1 - 1e-9) the last angle of the composition is fixed to 0 and the
+    remaining angle absorbs the rest. atan2's -pi is folded onto +pi.
     """
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise NotARotation(f"expected 3x3 matrix, got {r.shape}")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
+    if r.shape[-2:] != (3, 3) or r.ndim not in (2, 3):
+        raise NotARotation(f"expected 3x3 matrix or a stack of them, got {r.shape}")
+    if np.max(np.abs(r.mT @ r - np.eye(3))) > 1e-6 or np.any(np.linalg.det(r) < 0):
         raise NotARotation("matrix is not a proper rotation")
 
     if convention == "xyz":
-        sy = np.clip(r[0, 2], -1.0, 1.0)
-        ry = float(np.arcsin(sy))
-        if abs(sy) > 1.0 - 1e-9:
-            return _principal(np.arctan2(r[2, 1], r[1, 1])), ry, 0.0
-        rx = _principal(np.arctan2(-r[1, 2], r[2, 2]))
-        rz = _principal(np.arctan2(-r[0, 1], r[0, 0]))
-        return rx, ry, rz
-    if convention == "zyx":
-        sy = np.clip(-r[2, 0], -1.0, 1.0)
-        ry = float(np.arcsin(sy))
-        if abs(sy) > 1.0 - 1e-9:
-            return 0.0, ry, _principal(np.arctan2(-r[0, 1], r[1, 1]))
-        rx = _principal(np.arctan2(r[2, 1], r[2, 2]))
-        rz = _principal(np.arctan2(r[1, 0], r[0, 0]))
-        return rx, ry, rz
-    raise ValueError(f"unknown Euler convention: {convention!r}")
+        sy = np.clip(r[..., 0, 2], -1.0, 1.0)
+        lock = np.abs(sy) > 1.0 - 1e-9
+        rx = np.where(lock, np.arctan2(r[..., 2, 1], r[..., 1, 1]),
+                      np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
+        rz = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
+    elif convention == "zyx":
+        sy = np.clip(-r[..., 2, 0], -1.0, 1.0)
+        lock = np.abs(sy) > 1.0 - 1e-9
+        rx = np.where(lock, 0.0, np.arctan2(r[..., 2, 1], r[..., 2, 2]))
+        rz = np.where(lock, np.arctan2(-r[..., 0, 1], r[..., 1, 1]),
+                      np.arctan2(r[..., 1, 0], r[..., 0, 0]))
+    else:
+        raise ValueError(f"unknown Euler convention: {convention!r}")
+    angles = np.stack([rx, np.arcsin(sy), rz])
+    angles[angles == -np.pi] = np.pi
+    return tuple(angles)
 
 
 def cartesian_to_spherical(v: np.ndarray):
     """(rho, theta, phi): radius, polar angle from +z, azimuth atan2(y, x).
 
-    The origin maps to (0, 0, 0).
+    `v` is one vector (3,), giving three scalars, or a stack (T, 3), giving
+    three (T,) arrays. The origin maps to (0, 0, 0).
     """
-    x, y, z = np.asarray(v, dtype=np.float64)
-    rho = float(np.sqrt(x * x + y * y + z * z))
-    if rho == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = float(np.arccos(np.clip(z / rho, -1.0, 1.0)))
-    phi = float(np.arctan2(y, x))
-    return rho, theta, phi
+    x, y, z = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
+    rho = np.sqrt(x * x + y * y + z * z)
+    origin = rho == 0.0
+    theta = np.where(origin, 0.0, np.arccos(np.clip(z / np.where(origin, 1.0, rho), -1.0, 1.0)))
+    phi = np.where(origin, 0.0, np.arctan2(y, x))
+    return rho[()], theta[()], phi[()]
 
 
 def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from scipy.special import erf, erfinv
 from .errors import InvalidConfig
 from .geometry import (
     DEFAULT_LAGS,
-    DegenerateInput,
     cartesian_to_spherical,
     kabsch_align,
     rotation_to_euler,
@@ -23,10 +22,11 @@ from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, palm_radius
 
 @dataclass(frozen=True)
 class GlobalPose:
-    """Rigid pose of one frame: Euler rotation + spherical translation."""
+    """Rigid pose: Euler rotation + spherical translation, three scalars each
+    for one frame or three (T,) arrays each for a frame stack."""
 
-    rotation: tuple[float, float, float]
-    translation_spherical: tuple[float, float, float]
+    rotation: tuple
+    translation_spherical: tuple
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,22 @@ def dad_config_for_sequence(seq: SkeletonSequence, layout: JointLayout = DEFAULT
     return make_dad_config(bins, sigma_scale * palm_radius(seq.positions[0], layout))
 
 
-def discretize_rho(rho: float, config: DadConfig) -> int:
-    """1-based bin index: smallest i with rho <= eta_i, clamped to the top bin."""
-    idx = int(np.searchsorted(config.thresholds, rho, side="left")) + 1
-    return min(idx, config.bins)
+def discretize_rho(rho, config: DadConfig):
+    """1-based bin index: smallest i with rho <= eta_i, clamped to the top bin.
+
+    `rho` is a scalar or an array; the result has its shape.
+    """
+    return np.minimum(np.searchsorted(config.thresholds, rho, side="left") + 1, config.bins)
 
 
 def frame_global_pose(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
                       reference: np.ndarray | None = None,
                       convention: str = "xyz") -> GlobalPose:
-    """Kabsch-estimated rigid pose of one frame against the reference palm."""
+    """Kabsch-estimated rigid pose of one frame (J, 3), or of each frame of a
+    stack (T, J, 3), against the reference palm."""
     if reference is None:
         reference = reference_palm(DEFAULT_TEMPLATE)
-    points = np.asarray(frame, dtype=np.float64)[list(layout.global_indices)]
+    points = np.asarray(frame, dtype=np.float64)[..., list(layout.global_indices), :]
     rot, trans = kabsch_align(points, reference)
     return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
 
@@ -106,22 +109,9 @@ def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
     frame 1, and its differences to the frames `lags` steps back (clamped to
     frame 1). Expects a validated sequence.
     """
-    if reference is None:
-        reference = reference_palm(DEFAULT_TEMPLATE)
     if config is None:
         config = dad_config_for_sequence(seq, layout)
-    pos = seq.positions
-    t_count = pos.shape[0]
-    idx = list(layout.global_indices)
-
-    phi = np.empty((t_count, 6))
-    for t in range(t_count):
-        try:
-            rot, trans = kabsch_align(pos[t, idx], reference)
-        except DegenerateInput as e:
-            raise DegenerateInput(f"frame {t}: {e}") from e
-        rho, theta, azimuth = cartesian_to_spherical(trans)
-        rx, ry, rz = rotation_to_euler(rot, convention)
-        phi[t] = (discretize_rho(rho, config), theta, azimuth, rx, ry, rz)
-
+    pose = frame_global_pose(seq.positions, layout, reference, convention)
+    rho, theta, azimuth = pose.translation_spherical
+    phi = np.stack([discretize_rho(rho, config), theta, azimuth, *pose.rotation], axis=1)
     return with_differences(phi, lags, first_angle=1)

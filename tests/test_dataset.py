@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def test_load_sequence_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_sequence(entry)
 
+
+def test_load_sequence_errors_count_lines_from_one_and_frames_past_blanks(tmp_path):
+    good = " ".join(["0.0"] * 66)
+    entry = write_lines(tmp_path / "bad.txt", [good, "", good, "x" + good[3:]])
+    with pytest.raises(ParseError, match=re.escape(f"{entry.path}:4: ")) as err:
+        load_sequence(entry)
+    assert err.value.line == 4
+    entry = write_lines(tmp_path / "short.txt", [good, "", good, good[4:]])
+    with pytest.raises(WrongJointCount) as err:
+        load_sequence(entry)
+    assert (err.value.frame, err.value.found) == (2, 65)
 
 def entries_for(subjects, trials=2):
     out = []

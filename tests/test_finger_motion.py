@@ -90,6 +90,28 @@ def test_zero_length_bone():
     assert err.value.segment == "proximal"
 
 
+def test_ik_stack_matches_per_frame_calls():
+    rng = np.random.default_rng(37)
+    angles = rng.uniform(-1.2, 1.2, (20, 20))
+    angles[4, 4] = np.pi / 2    # index finger along the palm normal: abduction undefined
+    frames = np.stack([fk_frame(np.concatenate([rng.uniform(-1, 1, 3),
+                                                rng.uniform(-0.5, 0.5, 3)]), a)
+                       for a in angles])
+    stacked = inverse_kinematics(frames)
+    assert stacked.shape == (20, 20)
+    for i, frame in enumerate(frames):
+        np.testing.assert_allclose(stacked[i], inverse_kinematics(frame), rtol=0, atol=1e-12)
+    assert stacked[4, 5] == 0.0
+
+
+def test_ik_stack_names_zero_length_bone_in_last_frame():
+    frames = np.stack([fk_frame()] * 4)
+    quad = DEFAULT_LAYOUT.fingers[4]
+    frames[3, quad[3]] = frames[3, quad[2]]    # pinky tip collapses onto the DIP
+    with pytest.raises(ZeroLengthBone, match="^frame 3: zero-length distal bone on pinky$") as err:
+        inverse_kinematics(frames)
+    assert (err.value.frame, err.value.finger, err.value.segment) == (3, "pinky", "distal")
+
 def fk_sequence(angle_track, **meta):
     frames = len(angle_track)
     pos = np.stack([forward_kinematics(DEFAULT_TEMPLATE, np.zeros(6), angle_track[t])

@@ -164,3 +164,51 @@ def test_with_differences_matches_per_lag_loop():
         expected[:, 1:] = wrap_angle(expected[:, 1:])
         np.testing.assert_array_equal(out[:, 4 * block:4 * block + 4], expected)
     assert np.abs(out[:, 4]).max() > np.pi  # the plain column is not wrapped
+
+
+def test_kabsch_stack_matches_per_frame_calls():
+    ref = reference_palm()
+    rng = np.random.default_rng(15)
+    stack = np.stack([ref @ random_rotation(rng).T + rng.uniform(-1, 1, 3)
+                      + rng.normal(0, 1e-3, ref.shape) for _ in range(20)])
+    r, t = kabsch_align(stack, ref)
+    assert r.shape == (20, 3, 3) and t.shape == (20, 3)
+    for i, frame in enumerate(stack):
+        r1, t1 = kabsch_align(frame, ref)
+        np.testing.assert_allclose(r[i], r1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t[i], t1, rtol=0, atol=1e-12)
+
+
+def test_kabsch_stack_names_degenerate_last_frame():
+    ref = reference_palm()
+    line = np.outer(np.linspace(0, 1, 7), [1.0, 2.0, 0.5])
+    with pytest.raises(DegenerateInput, match="^frame 2: "):
+        kabsch_align(np.stack([ref, ref, line]), ref)
+
+
+@pytest.mark.parametrize("convention", ["xyz", "zyx"])
+def test_euler_stack_matches_per_frame_calls(convention):
+    rng = np.random.default_rng(16)
+    half_turn_x = np.diag([1.0, -1.0, -1.0])
+    half_turn_x[2, 1] = -0.0    # atan2 gives r_x = -pi here in both conventions
+    mats = np.stack([random_rotation(rng) for _ in range(20)]
+                    + [euler_to_matrix(0.3, np.pi / 2, 0.0, convention),    # gimbal lock
+                       euler_to_matrix(0.0, -np.pi / 2, -0.4, convention),
+                       half_turn_x])
+    stacked = np.stack(rotation_to_euler(mats, convention), axis=1)
+    assert stacked.shape == (23, 3)
+    for i, r in enumerate(mats):
+        single = rotation_to_euler(r, convention)
+        assert all(np.ndim(angle) == 0 for angle in single)
+        np.testing.assert_allclose(stacked[i], single, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(stacked[20:22, 2 if convention == "xyz" else 0], 0.0)
+    assert stacked[22, 0] == np.pi
+
+
+def test_spherical_stack_matches_per_frame_calls():
+    v = np.random.default_rng(17).normal(size=(20, 3))
+    v[5] = 0.0
+    stacked = np.stack(cartesian_to_spherical(v), axis=1)
+    for i, row in enumerate(v):
+        np.testing.assert_allclose(stacked[i], cartesian_to_spherical(row), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(stacked[5], 0.0)
