@@ -64,7 +64,6 @@ from .network import (
 )
 from .skeleton import (
     DEFAULT_LAYOUT,
-    GestureLabel,
     JointLayout,
     SkeletonSequence,
     normalize_skeleton_branch,

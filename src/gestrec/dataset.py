@@ -105,22 +105,28 @@ def load_sequence(entry: DatasetEntry,
                   layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
     """Parse one skeleton file into a labelled sequence."""
     expected = 3 * layout.joint_count
-    frames = []
     with open(entry.path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if len(tokens) != expected:
-                raise WrongJointCount(len(frames), len(tokens), expected)
-            try:
-                values = [float(tok) for tok in tokens]
-            except ValueError as e:
-                raise ParseError(entry.path, lineno, str(e)) from e
-            frames.append(values)
+        lines = fh.read().split("\n")
+    tokens = []
+    for raw in lines:
+        row = raw.split()
+        if row and len(row) != expected:
+            raise WrongJointCount(len(tokens) // expected, len(row), expected)
+        tokens += row
+    frames = len(tokens) // expected
     if not frames:
         raise ParseError(entry.path, 0, "file contains no frames")
-    positions = np.array(frames, dtype=np.float64).reshape(len(frames), layout.joint_count, 3)
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        # the same conversion line by line, only to name the bad line
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                np.array(raw.split(), dtype=np.float64)
+            except ValueError as e:
+                raise ParseError(entry.path, lineno, str(e)) from e
+        raise
+    positions = values.reshape(frames, layout.joint_count, 3)
     return SkeletonSequence(positions, gesture=entry.gesture, finger=entry.finger,
                             subject=entry.subject, trial=entry.trial)
 

@@ -75,18 +75,20 @@ def kabsch_align(points: np.ndarray, reference: np.ndarray):
     return r, t
 
 
-def euler_to_matrix(rx: float, ry: float, rz: float, convention: str = "xyz") -> np.ndarray:
+def euler_to_matrix(rx, ry, rz, convention: str = "xyz") -> np.ndarray:
     """Rotation matrix for intrinsic Euler angles.
 
     "xyz" composes R = Rx @ Ry @ Rz (intrinsic x-y'-z''); "zyx" composes
-    R = Rz @ Ry @ Rx.
+    R = Rz @ Ry @ Rx. Scalar angles give one matrix (3, 3); angle arrays of
+    a shape (...) give a stack (..., 3, 3).
     """
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
-    mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    # each elementary rotation turns the (i, j) plane and fixes the third axis
+    mx, my, mz = (np.zeros(np.shape(a) + (3, 3)) for a in (rx, ry, rz))
+    for m, angle, (i, j) in ((mx, rx, (1, 2)), (my, ry, (2, 0)), (mz, rz, (0, 1))):
+        c, s = np.cos(angle), np.sin(angle)
+        m[..., 3 - i - j, 3 - i - j] = 1.0
+        m[..., i, i] = m[..., j, j] = c
+        m[..., i, j], m[..., j, i] = -s, s
     if convention == "xyz":
         return mx @ my @ mz
     if convention == "zyx":
@@ -131,19 +133,27 @@ def cartesian_to_spherical(v: np.ndarray):
     """(rho, theta, phi): radius, polar angle from +z, azimuth atan2(y, x).
 
     `v` is one vector (3,), giving three scalars, or a stack (T, 3), giving
-    three (T,) arrays. The origin maps to (0, 0, 0).
+    three (T,) arrays. The origin maps to (0, 0, 0); atan2's -pi is folded
+    onto +pi.
     """
     x, y, z = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
     rho = np.sqrt(x * x + y * y + z * z)
     origin = rho == 0.0
     theta = np.where(origin, 0.0, np.arccos(np.clip(z / np.where(origin, 1.0, rho), -1.0, 1.0)))
-    phi = np.where(origin, 0.0, np.arctan2(y, x))
+    phi = np.arctan2(y, x)
+    phi = np.where(origin, 0.0, np.where(phi == -np.pi, np.pi, phi))
     return rho[()], theta[()], phi[()]
 
 
-def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of vector(s) `v` about a unit `axis`."""
+def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues rotation of vector(s) `v` about unit `axis` by `angle`.
+
+    `v` and `axis` (..., 3) and `angle` (...) broadcast against each other,
+    so one call rotates a stack of vectors, each about its own axis and by
+    its own angle.
+    """
     k = np.asarray(axis, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    angle = np.asarray(angle, dtype=np.float64)[..., None]
     c, s = np.cos(angle), np.sin(angle)
-    return v * c + np.cross(k, v) * s + k * np.dot(k, v) * (1.0 - c)
+    return v * c + np.cross(k, v) * s + k * np.vecdot(k, v)[..., None] * (1.0 - c)

@@ -82,39 +82,35 @@ def reference_palm(template: HandTemplate = DEFAULT_TEMPLATE) -> np.ndarray:
     return template.rest_positions[list(template.layout.global_indices)].copy()
 
 
-def finger_chain_directions(angles4: np.ndarray, rest_dir: np.ndarray):
-    """Unit directions (proximal, middle, distal) of one finger.
-
-    MCP abduction rotates the rest direction inside the palm plane, MCP
-    flexion bends it about the abducted lateral axis, and PIP/DIP flexions
-    continue about that same axis. Positive flexion bends away from the palm
-    normal.
-    """
-    flex, abd, pip, dip = angles4
-    u1 = rotate_about_axis(rest_dir, PALM_NORMAL, abd)
-    lateral = np.cross(PALM_NORMAL, u1)
-    proximal = rotate_about_axis(u1, lateral, flex)
-    middle = rotate_about_axis(proximal, lateral, pip)
-    distal = rotate_about_axis(middle, lateral, dip)
-    return proximal, middle, distal
-
-
 def forward_kinematics(template: HandTemplate, global_pose, angles) -> np.ndarray:
-    """Pose the hand template and return world-space joints (J, 3).
+    """Pose the hand template and return world-space joints.
 
     `global_pose` is 6 values: Euler rotation (rx, ry, rz) in the intrinsic
     x-y'-z'' convention followed by a Cartesian translation (tx, ty, tz).
     `angles` is 20 values, four per finger in (flex, abd, pip, dip) order.
+    One frame, (6,) and (20,), gives (J, 3); a stack, (T, 6) and (T, 20),
+    gives (T, J, 3).
+
+    MCP abduction rotates each finger's rest direction inside the palm
+    plane, MCP flexion bends it about the abducted lateral axis, and PIP/DIP
+    flexions continue about that same axis. Positive flexion bends away from
+    the palm normal.
     """
     pose = np.asarray(global_pose, dtype=np.float64)
-    th = np.asarray(angles, dtype=np.float64).reshape(5, 4)
-    layout = template.layout
-    local = template.rest_positions.copy()
-    for f, quad in enumerate(layout.fingers):
-        proximal, middle, distal = finger_chain_directions(th[f], template.rest_directions[f])
-        lengths = template.bone_lengths[f]
-        local[quad[1]] = local[quad[0]] + lengths[0] * proximal
-        local[quad[2]] = local[quad[1]] + lengths[1] * middle
-        local[quad[3]] = local[quad[2]] + lengths[2] * distal
-    r = euler_to_matrix(pose[0], pose[1], pose[2])
-    return local @ r.T + pose[3:6]
+    th = np.asarray(angles, dtype=np.float64)
+    flex, abd, pip, dip = np.moveaxis(th.reshape(th.shape[:-1] + (5, 4)), -1, 0)
+    u1 = rotate_about_axis(template.rest_directions, PALM_NORMAL, abd)
+    lateral = np.cross(PALM_NORMAL, u1)
+    proximal = rotate_about_axis(u1, lateral, flex)
+    middle = rotate_about_axis(proximal, lateral, pip)
+    distal = rotate_about_axis(middle, lateral, dip)
+
+    mcp, pip_joint, dip_joint, tip = np.array(template.layout.fingers).T
+    lengths = template.bone_lengths[..., None]
+    local = np.broadcast_to(template.rest_positions,
+                            th.shape[:-1] + template.rest_positions.shape).copy()
+    local[..., pip_joint, :] = local[..., mcp, :] + lengths[:, 0] * proximal
+    local[..., dip_joint, :] = local[..., pip_joint, :] + lengths[:, 1] * middle
+    local[..., tip, :] = local[..., dip_joint, :] + lengths[:, 2] * distal
+    r = euler_to_matrix(pose[..., 0], pose[..., 1], pose[..., 2])
+    return local @ r.mT + pose[..., None, 3:6]

@@ -94,12 +94,9 @@ class NetworkModel:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) elsewhere
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int = 100,
@@ -165,17 +162,16 @@ def lstm_forward(w, u, b, x, mask, reverse=False):
     for t in order:
         m = mask[:, t:t + 1]
         z = x[:, t] @ w.T + h_prev @ u.T + b
-        gi = _sigmoid(z[:, :h])
-        gf = _sigmoid(z[:, h:2 * h])
-        gg = np.tanh(z[:, 2 * h:3 * h])
-        go = _sigmoid(z[:, 3 * h:])
+        g = gates[:, t]
+        g[:] = _sigmoid(z)
+        gi, gf, gg, go = g[:, :h], g[:, h:2 * h], g[:, 2 * h:3 * h], g[:, 3 * h:]
+        gg[:] = np.tanh(z[:, 2 * h:3 * h])
         c_new = gf * c_prev + gi * gg
         h_new = go * np.tanh(c_new)
         h_prev = np.where(m, h_new, h_prev)
         c_prev = np.where(m, c_new, c_prev)
         hidden[:, t] = h_prev
         cell[:, t] = c_prev
-        gates[:, t] = np.concatenate([gi, gf, gg, go], axis=1)
     cache = {"x": x, "mask": mask, "hidden": hidden, "cell": cell,
              "gates": gates, "w": w, "u": u, "reverse": reverse}
     return hidden, cache

@@ -107,21 +107,6 @@ class SkeletonSequence:
         return self.positions.shape[0]
 
 
-def sequence_from_frames(frames, layout: JointLayout = DEFAULT_LAYOUT,
-                         **meta) -> SkeletonSequence:
-    """Stack per-frame (J, 3) arrays into a sequence, reporting ragged frames."""
-    if len(frames) == 0:
-        raise ValueError("sequence needs at least one frame")
-    expected = layout.joint_count
-    arrays = []
-    for i, frame in enumerate(frames):
-        arr = np.asarray(frame, dtype=np.float64)
-        if arr.shape != (expected, 3):
-            raise WrongJointCount(i, arr.shape[0] if arr.ndim else 0, expected)
-        arrays.append(arr)
-    return SkeletonSequence(np.stack(arrays), **meta)
-
-
 def validate_sequence(seq: SkeletonSequence,
                       layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
     """Check frame and joint counts and finiteness; return the sequence unchanged."""
@@ -168,28 +153,3 @@ def normalize_skeleton_branch(seq: SkeletonSequence,
     scaled = shifted / amplitude
     return scaled.reshape(pos.shape[0], -1)
 
-
-@dataclass(frozen=True)
-class GestureLabel:
-    """DHG label pair; the 28-class id is 2*(gesture-1) + finger_config."""
-
-    gesture_14: int
-    finger_config: int
-
-    def __post_init__(self):
-        if not 1 <= self.gesture_14 <= 14:
-            raise ValueError(f"gesture_14 out of range: {self.gesture_14}")
-        if self.finger_config not in (1, 2):
-            raise ValueError(f"finger_config out of range: {self.finger_config}")
-
-    @property
-    def gesture_28(self) -> int:
-        return 2 * (self.gesture_14 - 1) + self.finger_config
-
-    @classmethod
-    def from_28(cls, label_28: int) -> "GestureLabel":
-        if not 1 <= label_28 <= 28:
-            raise ValueError(f"gesture_28 out of range: {label_28}")
-        gesture = (label_28 + 1) // 2
-        finger = 2 - (label_28 % 2)
-        return cls(gesture, finger)

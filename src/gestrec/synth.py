@@ -128,10 +128,7 @@ def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
                 pose *= trial_amp
                 angles = np.clip(angles * trial_amp, -ANGLE_LIMIT, ANGLE_LIMIT)
 
-                positions = np.stack([
-                    forward_kinematics(template, pose[t], angles[t])
-                    for t in range(frames)
-                ])
+                positions = forward_kinematics(template, pose, angles)
                 positions += trial_rng.normal(0.0, script.noise_sigma, positions.shape)
                 sequences.append(SkeletonSequence(
                     positions, gesture=script.gesture, finger=script.finger,

@@ -1,4 +1,4 @@
-"""The feature-extraction and kinematics demos run to completion."""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_feature_extraction.py", "02_hand_kinematics.py"])
+@pytest.mark.parametrize("demo", ["01_feature_extraction.py", "02_hand_kinematics.py",
+                                  "03_train_classifier.py", "04_loocv_benchmark.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,

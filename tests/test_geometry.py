@@ -127,6 +127,8 @@ def test_spherical_degenerate_and_axes():
     assert rho == pytest.approx(np.sqrt(2), abs=1e-12)     # direct trigonometry
     assert theta == pytest.approx(np.pi / 2, abs=1e-12)
     assert phi == pytest.approx(np.pi / 4, abs=1e-12)
+    # atan2(-0.0, -1) is -pi, folded onto +pi
+    assert cartesian_to_spherical([-1.0, -0.0, 0.5])[2] == np.pi
 
 
 def test_spherical_roundtrip():
@@ -208,7 +210,9 @@ def test_euler_stack_matches_per_frame_calls(convention):
 def test_spherical_stack_matches_per_frame_calls():
     v = np.random.default_rng(17).normal(size=(20, 3))
     v[5] = 0.0
+    v[6] = (-1.0, -0.0, 0.5)
     stacked = np.stack(cartesian_to_spherical(v), axis=1)
+    assert stacked[6, 2] == np.pi
     for i, row in enumerate(v):
         np.testing.assert_allclose(stacked[i], cartesian_to_spherical(row), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(stacked[5], 0.0)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from gestrec.evaluation import OutOfRange, class_of, collapse_28_to_14
 from gestrec.features import extract_features
 from gestrec.skeleton import (
     DEFAULT_LAYOUT,
     DegeneratePalm,
     EmptySequence,
-    GestureLabel,
     JointLayout,
     NonFiniteCoordinate,
     SkeletonSequence,
@@ -14,7 +14,6 @@ from gestrec.skeleton import (
     ZeroAmplitude,
     normalize_skeleton_branch,
     palm_radius,
-    sequence_from_frames,
     validate_sequence,
 )
 
@@ -64,15 +63,6 @@ def test_validate_rejects_zero_frames():
         validate_sequence(seq)
     with pytest.raises(EmptySequence):
         extract_features(seq)
-
-
-def test_sequence_from_frames_reports_ragged_frame():
-    rng = np.random.default_rng(2)
-    frames = [rng.normal(size=(22, 3)) for _ in range(4)]
-    frames[2] = rng.normal(size=(21, 3))
-    with pytest.raises(WrongJointCount) as err:
-        sequence_from_frames(frames)
-    assert err.value.frame == 2
 
 
 def test_palm_radius_constant_distance():
@@ -140,27 +130,30 @@ def test_normalize_zero_amplitude():
         normalize_skeleton_branch(SkeletonSequence(positions))
 
 
+# DHG labels a sequence by (gesture 1..14, finger config 1..2); the 28-class
+# label is 2 * (gesture - 1) + finger, which class_of returns 0-based
+
+
 def test_gesture_label_encoding():
-    assert GestureLabel(1, 1).gesture_28 == 1
-    assert GestureLabel(1, 2).gesture_28 == 2
-    assert GestureLabel(14, 2).gesture_28 == 28
+    assert class_of(1, 1, 28) + 1 == 1
+    assert class_of(1, 2, 28) + 1 == 2
+    assert class_of(14, 2, 28) + 1 == 28
 
 
 def test_gesture_label_bijection():
     seen = set()
     for g in range(1, 15):
         for f in (1, 2):
-            label = GestureLabel(g, f)
-            back = GestureLabel.from_28(label.gesture_28)
-            assert (back.gesture_14, back.finger_config) == (g, f)
-            seen.add(label.gesture_28)
+            label = class_of(g, f, 28) + 1
+            assert (collapse_28_to_14(label), label - 2 * (g - 1)) == (g, f)
+            seen.add(label)
     assert seen == set(range(1, 29))
 
 
 def test_gesture_label_range_checks():
-    with pytest.raises(ValueError):
-        GestureLabel(0, 1)
-    with pytest.raises(ValueError):
-        GestureLabel(1, 3)
-    with pytest.raises(ValueError):
-        GestureLabel.from_28(29)
+    with pytest.raises(OutOfRange):
+        class_of(0, 1, 28)
+    with pytest.raises(OutOfRange):
+        class_of(1, 3, 28)
+    with pytest.raises(OutOfRange):
+        collapse_28_to_14(29)
