@@ -107,7 +107,11 @@ def load_config(path: str | Path | None,
     known = {f.name: f.type for f in fields(PipelineConfig)}
     typed = {f.name: type(getattr(config, f.name)) for f in fields(PipelineConfig)}
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

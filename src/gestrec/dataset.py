@@ -105,8 +105,13 @@ def load_sequence(entry: DatasetEntry,
                   layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
     """Parse one skeleton file into a labelled sequence."""
     expected = 3 * layout.joint_count
-    with open(entry.path, "r") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(entry.path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file at once, so e.object holds all its bytes
+        raise ParseError(entry.path, e.object.count(b"\n", 0, e.start) + 1,
+                         f"byte 0x{e.object[e.start]:02x} is not UTF-8 text ({e.reason})") from e
     tokens = []
     for raw in lines:
         row = raw.split()

@@ -93,12 +93,6 @@ class NetworkModel:
         return self.hidden * len(self.directions)
 
 
-def _sigmoid(x):
-    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) elsewhere
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-
 def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int = 100,
                fc_out: int = 128, head: tuple[int, ...] = (256, 128),
                dropout: float = 0.3, bidirectional: bool = True,
@@ -149,25 +143,33 @@ def lstm_forward(w, u, b, x, mask, reverse=False):
     `x` is (B, T, d), `mask` (B, T) with valid steps as a prefix. Masked steps
     copy the previous hidden/cell state; the reverse direction consumes time
     back-to-front so its state at position t summarizes x_t..x_last.
-    Returns (hidden (B, T, h), cache for backward).
+    Returns (hidden (B, T, h), cache for backward); the cache's `gates` hold
+    the (i, f, g, o) activations.
     """
-    bsz, t_len, _ = x.shape
+    bsz, t_len, d = x.shape
     h = u.shape[1]
+    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
+    # tanh(z * scale) * scale + shift gives all four gates with one tanh
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
+    # every step's input projection in one GEMM; the loop adds only h_prev @ U
+    gates = ((x.reshape(-1, d) @ w.T + b) * scale).reshape(bsz, t_len, 4 * h)
+    u_scaled = u.T * scale
     hidden = np.zeros((bsz, t_len, h))
     cell = np.zeros((bsz, t_len, h))
-    gates = np.zeros((bsz, t_len, 4 * h))
     h_prev = np.zeros((bsz, h))
     c_prev = np.zeros((bsz, h))
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     for t in order:
         m = mask[:, t:t + 1]
-        z = x[:, t] @ w.T + h_prev @ u.T + b
         g = gates[:, t]
-        g[:] = _sigmoid(z)
-        gi, gf, gg, go = g[:, :h], g[:, h:2 * h], g[:, 2 * h:3 * h], g[:, 3 * h:]
-        gg[:] = np.tanh(z[:, 2 * h:3 * h])
-        c_new = gf * c_prev + gi * gg
-        h_new = go * np.tanh(c_new)
+        g += h_prev @ u_scaled
+        np.tanh(g, out=g)
+        g *= scale
+        g += shift
+        c_new = g[:, h:2 * h] * c_prev + g[:, :h] * g[:, 2 * h:3 * h]
+        h_new = g[:, 3 * h:] * np.tanh(c_new)
         h_prev = np.where(m, h_new, h_prev)
         c_prev = np.where(m, c_new, c_prev)
         hidden[:, t] = h_prev
@@ -178,55 +180,70 @@ def lstm_forward(w, u, b, x, mask, reverse=False):
 
 
 def lstm_backward(cache, d_hidden):
-    """Exact BPTT for one direction. Returns (dW, dU, db, dX)."""
+    """Exact BPTT for one direction. Returns (dW, dU, db, dX).
+
+    dz (B, T, 4h), the gradient at the gate pre-activations, is
+        dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
+        dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
+    on valid steps and 0 on masked ones. Every factor but dc and dh is filled
+    in for all steps up front; the time loop only carries dh and dc back and
+    scales dz by them. dW, dU, db and dX are then one reduction each over dz.
+    """
     x, mask = cache["x"], cache["mask"]
     hidden, cell, gates = cache["hidden"], cache["cell"], cache["gates"]
     w, u = cache["w"], cache["u"]
-    bsz, t_len, _ = x.shape
+    bsz, t_len, d = x.shape
     h = u.shape[1]
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(4 * h)
-    dx = np.zeros_like(x)
+    reverse = cache["reverse"]
+    # the first step processed starts from the zero state; every other step t
+    # starts from the state at t_prev (t + 1 in reverse, else t - 1)
+    first = t_len - 1 if reverse else 0
+    t_has_prev, t_prev = ((slice(0, -1), slice(1, None)) if reverse
+                          else (slice(1, None), slice(0, -1)))
+    valid = mask[:, :, None]
+    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    dz = 1.0 - gates
+    dz *= gates  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
+    dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
+    dz_i *= gg
+    dz_f[:, t_has_prev] *= cell[:, t_prev]
+    dz_f[:, first] = 0.0
+    np.multiply(gg, gg, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    dz_g *= gi
+    tanh_c = np.tanh(cell)
+    dz_o *= tanh_c
+    dz *= valid
+    # dc/dh through h = o * tanh(c), 0 on masked steps (in tanh_c's buffer)
+    dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+    dc_dh *= valid
+
+    dz4 = dz.reshape(bsz, t_len, 4, h)
     dh_carry = np.zeros((bsz, h))
-    dc_carry = np.zeros((bsz, h))
-    order = list(range(t_len - 1, -1, -1)) if cache["reverse"] else list(range(t_len))
-    for k in range(len(order) - 1, -1, -1):
-        t = order[k]
-        m = mask[:, t:t + 1].astype(np.float64)
-        if k > 0:
-            h_prev = hidden[:, order[k - 1]]
-            c_prev = cell[:, order[k - 1]]
-        else:
-            h_prev = np.zeros((bsz, h))
-            c_prev = np.zeros((bsz, h))
+    dc = np.zeros((bsz, h))
+    for t in (range(t_len) if reverse else range(t_len - 1, -1, -1)):
         dh = d_hidden[:, t] + dh_carry
-        dc = dc_carry
+        dc += dh * dc_dh[:, t]
+        dz4[:, t, :3] *= dc[:, None]
+        dz4[:, t, 3] *= dh
+        dh_carry = np.where(mask[:, t:t + 1], dz[:, t] @ u, dh)
+        # Valid steps form a prefix, so a masked step either precedes every
+        # valid one here (forward: dc is still 0) or follows them all
+        # (reverse: its dc reaches no valid step); gf needs no mask.
+        dc *= gf[:, t]
 
-        gi = gates[:, t, :h]
-        gf = gates[:, t, h:2 * h]
-        gg = gates[:, t, 2 * h:3 * h]
-        go = gates[:, t, 3 * h:]
-        tanh_c = np.tanh(cell[:, t])
-
-        do = dh * tanh_c
-        dc_valid = dc + dh * go * (1.0 - tanh_c * tanh_c)
-        di = dc_valid * gg
-        df = dc_valid * c_prev
-        dg = dc_valid * gi
-        dz = np.concatenate([
-            di * gi * (1.0 - gi),
-            df * gf * (1.0 - gf),
-            dg * (1.0 - gg * gg),
-            do * go * (1.0 - go),
-        ], axis=1) * m
-
-        dw += dz.T @ x[:, t]
-        du += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dx[:, t] = dz @ w
-        dh_carry = dz @ u + dh * (1.0 - m)
-        dc_carry = dc_valid * gf * m + dc * (1.0 - m)
+    dz2 = dz.reshape(-1, 4 * h)
+    dw = dz2.T @ x.reshape(-1, d)
+    db = dz2.sum(axis=0)
+    dx = (dz2 @ w).reshape(bsz, t_len, d)
+    # dU pairs each step's dz with h at t_prev. With the first step's dz
+    # zeroed (its h_prev is 0), shifting the flat (B*T) rows by one pairs
+    # every row correctly, so one GEMM over views does it without a copy.
+    dz[:, first] = 0.0
+    h2 = hidden.reshape(-1, h)
+    du = dz2[:-1].T @ h2[1:] if reverse else dz2[1:].T @ h2[:-1]
     return dw, du, db, dx
 
 

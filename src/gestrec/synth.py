@@ -170,7 +170,11 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
             raise InvalidConfig(f"script {name}: missing gesture id")
         scripts.append(GestureScript(name=name, curves=dict(curves), **fields))
 
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidConfig(f"{path}: not UTF-8 text ({e})") from e
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -89,17 +89,19 @@ def test_extract_reports_bad_sequences_and_writes_the_rest(synth_root, feature_d
     data = tmp_path / "data"
     shutil.copytree(synth_root, data)
     skeletons = [entry.path for entry in scan_dataset(data).entries]
-    bad = {skeletons[5]: "nan", skeletons[20]: "x"}
+    # the 0xff byte makes its file undecodable: a ParseError naming line 4
+    bad = {skeletons[5]: b"nan", skeletons[12]: b"\xff", skeletons[20]: b"x"}
     for path, token in bad.items():
-        lines = path.read_text().splitlines()
-        lines[3] = " ".join([token] + lines[3].split()[1:])
-        path.write_text("\n".join(lines) + "\n")
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b" ".join([token] + lines[3].split()[1:])
+        path.write_bytes(b"\n".join(lines))
     out = tmp_path / "feats"
     assert run(["extract", "--dataset", data, "--out", out]) == 1
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == len(bad)
     for line, path in zip(errors, bad):
         assert line.startswith(f"gestrec extract: error: {path}:"), line
+    assert errors[1].startswith(f"gestrec extract: error: {skeletons[12]}:4: byte 0xff "), errors[1]
     written = sorted(p.name for p in out.iterdir())
     assert len(written) == 3 * (len(skeletons) - len(bad))
     for name in written:
@@ -211,6 +213,8 @@ MALFORMED = [
     ("train", "config", TINY_CONFIG + "clip_norm = -3\n"),
     ("loocv", "config", TINY_CONFIG + "beta1 = 1\n"),
     ("loocv", "config", TINY_CONFIG + "stop_accuracy = 7\n"),
+    ("extract", "config", b"lags = 1\xff\n"),
+    ("synth", "scripts", b"[script a]\ngesture = \xff1\n"),
 ]
 
 
@@ -230,7 +234,7 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
         path.write_bytes(b"GESTREC-FEAT 1\n" + content.encode() + b"\nBINARY\n"
                          + bytes(8 * 4 * 30))
     else:
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         inputs += ["--scripts" if kind == "scripts" else "--config", path]
     assert run([command, *inputs]) == 1
     err = capsys.readouterr().err

@@ -20,6 +20,7 @@ from gestrec.network import (
     forward,
     init_model,
     load_checkpoint,
+    lstm_backward,
     lstm_forward,
     predict,
     save_checkpoint,
@@ -99,6 +100,115 @@ def test_masked_tail_copies_last_valid_state():
     bwd, _ = lstm_forward(w, u, b, x, mask, reverse=True)
     np.testing.assert_array_equal(bwd[0, 4:], 0.0)
     assert np.any(bwd[0, 3] != 0.0)
+
+
+def _oracle_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _oracle_lstm_forward(w, u, b, x, mask, reverse=False):
+    """The per-step kernel the hoisted one replaced: every GEMM and every gate
+    activation inside the time loop."""
+    bsz, t_len, _ = x.shape
+    h = u.shape[1]
+    hidden = np.zeros((bsz, t_len, h))
+    cell = np.zeros((bsz, t_len, h))
+    gates = np.zeros((bsz, t_len, 4 * h))
+    h_prev = np.zeros((bsz, h))
+    c_prev = np.zeros((bsz, h))
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    for t in order:
+        m = mask[:, t:t + 1]
+        z = x[:, t] @ w.T + h_prev @ u.T + b
+        gi = _oracle_sigmoid(z[:, :h])
+        gf = _oracle_sigmoid(z[:, h:2 * h])
+        gg = np.tanh(z[:, 2 * h:3 * h])
+        go = _oracle_sigmoid(z[:, 3 * h:])
+        gates[:, t] = np.concatenate([gi, gf, gg, go], axis=1)
+        c_new = gf * c_prev + gi * gg
+        h_new = go * np.tanh(c_new)
+        h_prev = np.where(m, h_new, h_prev)
+        c_prev = np.where(m, c_new, c_prev)
+        hidden[:, t] = h_prev
+        cell[:, t] = c_prev
+    return hidden, gates, cell
+
+
+def _oracle_lstm_backward(w, u, x, mask, hidden, cell, gates, reverse, d_hidden):
+    """Per-step BPTT with the weight-gradient GEMMs inside the loop."""
+    bsz, t_len, _ = x.shape
+    h = u.shape[1]
+    dw, du, db, dx = np.zeros_like(w), np.zeros_like(u), np.zeros(4 * h), np.zeros_like(x)
+    dh_carry = np.zeros((bsz, h))
+    dc_carry = np.zeros((bsz, h))
+    order = list(range(t_len - 1, -1, -1)) if reverse else list(range(t_len))
+    for k in range(len(order) - 1, -1, -1):
+        t = order[k]
+        m = mask[:, t:t + 1].astype(np.float64)
+        h_prev = hidden[:, order[k - 1]] if k > 0 else np.zeros((bsz, h))
+        c_prev = cell[:, order[k - 1]] if k > 0 else np.zeros((bsz, h))
+        dh = d_hidden[:, t] + dh_carry
+        dc = dc_carry
+        gi, gf = gates[:, t, :h], gates[:, t, h:2 * h]
+        gg, go = gates[:, t, 2 * h:3 * h], gates[:, t, 3 * h:]
+        tanh_c = np.tanh(cell[:, t])
+        do = dh * tanh_c
+        dc_valid = dc + dh * go * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([
+            dc_valid * gg * gi * (1.0 - gi),
+            dc_valid * c_prev * gf * (1.0 - gf),
+            dc_valid * gi * (1.0 - gg * gg),
+            do * go * (1.0 - go),
+        ], axis=1) * m
+        dw += dz.T @ x[:, t]
+        du += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dx[:, t] = dz @ w
+        dh_carry = dz @ u + dh * (1.0 - m)
+        dc_carry = dc_valid * gf * m + dc * (1.0 - m)
+    return dw, du, db, dx
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("lengths", [[5], [7, 4, 1, 6]])
+def test_lstm_matches_per_step_oracle(lengths, reverse):
+    rng = np.random.default_rng(40 + len(lengths))
+    d, h, t_len = 5, 3, 7
+    w = rng.normal(0, 0.7, (4 * h, d))
+    u = rng.normal(0, 0.7, (4 * h, h))
+    b = rng.normal(0, 0.7, 4 * h)
+    x = rng.normal(size=(len(lengths), t_len, d))
+    mask = np.arange(t_len) < np.array(lengths)[:, None]
+    d_hidden = rng.normal(size=(len(lengths), t_len, h))
+
+    hidden, cache = lstm_forward(w, u, b, x, mask, reverse=reverse)
+    grads = lstm_backward(cache, d_hidden)
+    want_hidden, want_gates, want_cell = _oracle_lstm_forward(w, u, b, x, mask, reverse)
+    want_grads = _oracle_lstm_backward(w, u, x, mask, want_hidden, want_cell, want_gates,
+                                       reverse, d_hidden)
+    got = {"hidden": hidden, "gates": cache["gates"], "cell": cache["cell"],
+           **dict(zip(("dW", "dU", "db", "dX"), grads))}
+    want = {"hidden": want_hidden, "gates": want_gates, "cell": want_cell,
+            **dict(zip(("dW", "dU", "db", "dX"), want_grads))}
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+
+@pytest.mark.parametrize("magnitude", [800.0, 1e6])
+def test_saturated_lstm_stays_finite(magnitude):
+    h = 2
+    w = np.ones((4 * h, 1))
+    u = np.ones((4 * h, h))
+    x = magnitude * np.array([1.0, -1.0, -1.0, 1.0, 1.0])[None, :, None]
+    mask = np.ones((1, 5), dtype=bool)
+    with np.errstate(over="raise", invalid="raise"):
+        for reverse in (False, True):
+            hidden, cache = lstm_forward(w, u, np.zeros(4 * h), x, mask, reverse=reverse)
+            sigmoid_gates = np.delete(cache["gates"], np.s_[2 * h:3 * h], axis=2)
+            assert np.all(np.isfinite(hidden)) and np.all(np.abs(hidden) <= 1.0)
+            assert np.all((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0))
+            assert np.all(np.abs(cache["gates"][..., 2 * h:3 * h]) <= 1.0)
 
 
 # ------------------------------------------------------------------ forward
