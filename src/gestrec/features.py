@@ -84,7 +84,8 @@ def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KIN
     """Group feature files by sequence.
 
     Returns a list of (meta, streams) sorted by (gesture, finger, subject,
-    trial); every requested kind must be present for every sequence.
+    trial); every requested kind must be present for every sequence, with
+    the same number of dims in every sequence.
     """
     directory = Path(directory)
     groups: dict[tuple, dict] = {}
@@ -95,11 +96,17 @@ def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KIN
     if not groups:
         raise FeatureError(f"no .feat files under {directory}")
     out = []
+    dims: dict[str, int] = {}
     for key in sorted(groups):
         streams = groups[key]
         missing = [k for k in kinds if k not in streams]
         if missing:
             raise FeatureError(f"sequence {key}: missing feature kind(s) {missing}")
+        for k in kinds:
+            width = dims.setdefault(k, streams[k].shape[1])
+            if streams[k].shape[1] != width:
+                raise FeatureError(f"sequence {key}: {k} features have {streams[k].shape[1]} "
+                                   f"dims, earlier sequences have {width}")
         lengths = {k: streams[k].shape[0] for k in kinds}
         if len(set(lengths.values())) != 1:
             raise FeatureError(f"sequence {key}: inconsistent frame counts {lengths}")

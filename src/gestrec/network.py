@@ -180,18 +180,19 @@ def lstm_forward(w, u, b, x, mask, reverse=False):
 
 
 def lstm_backward(cache, d_hidden):
-    """Exact BPTT for one direction. Returns (dW, dU, db, dX).
+    """Exact BPTT for one direction. Returns (dW, dU, db, dz).
 
     dz (B, T, 4h), the gradient at the gate pre-activations, is
         dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
         dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
     on valid steps and 0 on masked ones. Every factor but dc and dh is filled
     in for all steps up front; the time loop only carries dh and dc back and
-    scales dz by them. dW, dU, db and dX are then one reduction each over dz.
+    scales dz by them. dW, dU and db are then one reduction each over dz; the
+    input gradient, for a caller that needs it, is `dz @ W`.
     """
     x, mask = cache["x"], cache["mask"]
     hidden, cell, gates = cache["hidden"], cache["cell"], cache["gates"]
-    w, u = cache["w"], cache["u"]
+    u = cache["u"]
     bsz, t_len, d = x.shape
     h = u.shape[1]
     reverse = cache["reverse"]
@@ -237,14 +238,15 @@ def lstm_backward(cache, d_hidden):
     dz2 = dz.reshape(-1, 4 * h)
     dw = dz2.T @ x.reshape(-1, d)
     db = dz2.sum(axis=0)
-    dx = (dz2 @ w).reshape(bsz, t_len, d)
     # dU pairs each step's dz with h at t_prev. With the first step's dz
     # zeroed (its h_prev is 0), shifting the flat (B*T) rows by one pairs
     # every row correctly, so one GEMM over views does it without a copy.
+    dz_first = dz[:, first].copy()
     dz[:, first] = 0.0
     h2 = hidden.reshape(-1, h)
     du = dz2[:-1].T @ h2[1:] if reverse else dz2[1:].T @ h2[:-1]
-    return dw, du, db, dx
+    dz[:, first] = dz_first
+    return dw, du, db, dz
 
 
 def _validate_batch(model, streams, mask):
@@ -253,7 +255,7 @@ def _validate_batch(model, streams, mask):
         raise InvalidMask(f"mask must be (batch, time), got {mask.shape}")
     if np.any(mask[:, 1:] & ~mask[:, :-1]):
         raise InvalidMask("mask has holes: valid steps must form a prefix")
-    if not mask[:, 0].all():
+    if mask.shape[1] == 0 or not mask[:, 0].all():
         raise InvalidMask("every sample needs at least one valid step")
     bsz, t_len = mask.shape
     for name in model.branches:
@@ -266,13 +268,57 @@ def _validate_batch(model, streams, mask):
     return mask
 
 
-def _make_dropout_masks(model, shapes, rng):
-    masks = {}
-    p = model.dropout
-    for name, shape in shapes.items():
-        keep = (rng.random(shape) >= p).astype(np.float64)
-        masks[name] = keep / (1.0 - p)
-    return masks
+def _bilstm_forward(model, prefix, x, mask):
+    """Every direction of one LSTM layer. Returns the (B, T, h) hidden states
+    and the (prefix, cache) pairs of each direction, forward first."""
+    outputs, layer = [], []
+    for direction in model.directions:
+        p = f"{prefix}.{direction}"
+        hseq, layer_cache = lstm_forward(
+            model.params[f"{p}.W"], model.params[f"{p}.U"], model.params[f"{p}.b"],
+            x, mask, reverse=direction == "bwd")
+        outputs.append(hseq)
+        layer.append((p, layer_cache))
+    return outputs, layer
+
+
+def _bilstm_backward(layer, d_out, grads, input_grad):
+    """Gradients of one `_bilstm_forward` layer from d_out (B, T, dirs * h),
+    written into `grads`; returns the input gradient if `input_grad`."""
+    d_x = None
+    for i, (p, layer_cache) in enumerate(layer):
+        h = layer_cache["u"].shape[1]
+        grads[f"{p}.W"], grads[f"{p}.U"], grads[f"{p}.b"], dz = lstm_backward(
+            layer_cache, d_out[:, :, i * h:(i + 1) * h])
+        if input_grad:
+            part = (dz.reshape(-1, 4 * h) @ layer_cache["w"]).reshape(layer_cache["x"].shape)
+            d_x = part if d_x is None else d_x + part
+    return d_x
+
+
+def _dense_forward(model, prefixes, a, dropped):
+    """FC layers in order, each but `head.out` followed by ReLU and each
+    followed by the dropout mask named after its parameter prefix. Returns
+    the output and each layer's (prefix, input, pre-activation)."""
+    layers = []
+    for p in prefixes:
+        pre = a @ model.params[f"{p}.W"].T + model.params[f"{p}.b"]
+        layers.append((p, a, pre))
+        a = dropped(pre if p == "head.out" else np.maximum(pre, 0.0), p)
+    return a, layers
+
+
+def _dense_backward(model, layers, d_out, undrop, grads):
+    """Gradients of one `_dense_forward` stack, written into `grads`; returns
+    the gradient at its input."""
+    for p, a, pre in reversed(layers):
+        d_pre = undrop(d_out, p)
+        if p != "head.out":
+            d_pre = d_pre * (pre > 0)
+        grads[f"{p}.W"] = d_pre.T @ a
+        grads[f"{p}.b"] = d_pre.sum(axis=0)
+        d_out = d_pre @ model.params[f"{p}.W"]
+    return d_out
 
 
 def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarray,
@@ -280,84 +326,49 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
             dropout_masks: dict[str, np.ndarray] | None = None):
     """Class probabilities for a padded batch; returns (probs, cache).
 
-    In train mode inverted dropout follows every LSTM and FC layer, sampling
-    masks from `rng` unless explicit `dropout_masks` are supplied (the cache
-    records them so gradients and finite differences see the same network).
+    In train mode inverted dropout follows every LSTM and FC layer. Unless
+    explicit `dropout_masks` are supplied, each mask is drawn from `rng` when
+    it is first used: per branch `l1`, `summary`, `fc`, then `head.0`, ...,
+    `head.out`. The cache records the masks so gradients and finite
+    differences see the same network.
     """
     mask = _validate_batch(model, streams, mask)
-    bsz, t_len = mask.shape
-    lengths = mask.sum(axis=1).astype(int)
-    last_idx = lengths - 1
+    bsz = mask.shape[0]
+    last_idx = mask.sum(axis=1).astype(int) - 1
     rows = np.arange(bsz)
     use_dropout = train_mode and model.dropout > 0.0
-
     if use_dropout and dropout_masks is None:
         if rng is None:
             raise NetworkError("train-mode forward needs an rng (or explicit dropout masks)")
-        shapes = {}
-        for name in model.branches:
-            shapes[f"{name}.l1"] = (bsz, t_len, model.summary_dim)
-            shapes[f"{name}.summary"] = (bsz, model.summary_dim)
-            shapes[f"{name}.fc"] = (bsz, model.fc_out)
-        for i in range(len(model.head)):
-            shapes[f"head.{i}"] = (bsz, model.head[i])
-        shapes["head.out"] = (bsz, model.classes)
-        dropout_masks = _make_dropout_masks(model, shapes, rng)
+        dropout_masks = {}
 
     def dropped(x, key):
         if not use_dropout:
             return x
+        if key not in dropout_masks:
+            keep = (rng.random(x.shape) >= model.dropout).astype(np.float64)
+            dropout_masks[key] = keep / (1.0 - model.dropout)
         return x * dropout_masks[key]
 
     cache = {"mask": mask, "last_idx": last_idx, "dropout": dropout_masks if use_dropout else None,
-             "branches": {}, "train_mode": train_mode}
+             "branches": {}}
     branch_outputs = []
     for name in model.branches:
         stats = model.norm[name]
         x = (streams[name] - stats["mean"]) / stats["std"]
-        bc = {}
-        seq_parts = []
-        for direction in model.directions:
-            p = f"{name}.l1.{direction}"
-            hseq, bc[f"l1.{direction}"] = lstm_forward(
-                model.params[f"{p}.W"], model.params[f"{p}.U"], model.params[f"{p}.b"],
-                x, mask, reverse=direction == "bwd")
-            seq_parts.append(hseq)
-        h1 = np.concatenate(seq_parts, axis=2)
-        h1d = dropped(h1, f"{name}.l1")
-
-        summaries = []
-        for direction in model.directions:
-            p = f"{name}.l2.{direction}"
-            hseq, bc[f"l2.{direction}"] = lstm_forward(
-                model.params[f"{p}.W"], model.params[f"{p}.U"], model.params[f"{p}.b"],
-                h1d, mask, reverse=direction == "bwd")
-            if direction == "fwd":
-                summaries.append(hseq[rows, last_idx])
-            else:
-                summaries.append(hseq[:, 0])
-        summary = np.concatenate(summaries, axis=1)
-        summary_d = dropped(summary, f"{name}.summary")
-
-        fc_pre = summary_d @ model.params[f"{name}.fc.W"].T + model.params[f"{name}.fc.b"]
-        fc_act = np.maximum(fc_pre, 0.0)
-        branch_out = dropped(fc_act, f"{name}.fc")
-        bc.update(fc_in=summary_d, fc_pre=fc_pre)
-        cache["branches"][name] = bc
+        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, mask)
+        h2, l2 = _bilstm_forward(model, f"{name}.l2",
+                                 dropped(np.concatenate(h1, axis=2), f"{name}.l1"), mask)
+        # forward direction at each sample's last valid step, backward at step 0
+        summary = np.concatenate([h2[0][rows, last_idx], *(hb[:, 0] for hb in h2[1:])], axis=1)
+        branch_out, fc = _dense_forward(model, [f"{name}.fc"],
+                                        dropped(summary, f"{name}.summary"), dropped)
+        cache["branches"][name] = (l1, l2, fc)
         branch_outputs.append(branch_out)
 
-    z = np.concatenate(branch_outputs, axis=1)
-    cache["head"] = {"inputs": [], "pres": []}
-    a = z
-    for i in range(len(model.head)):
-        cache["head"]["inputs"].append(a)
-        pre = a @ model.params[f"head.{i}.W"].T + model.params[f"head.{i}.b"]
-        cache["head"]["pres"].append(pre)
-        a = dropped(np.maximum(pre, 0.0), f"head.{i}")
-    cache["head"]["inputs"].append(a)
-    logits = a @ model.params["head.out.W"].T + model.params["head.out.b"]
-    logits = dropped(logits, "head.out")
-
+    head = [f"head.{i}" for i in range(len(model.head))] + ["head.out"]
+    logits, cache["head"] = _dense_forward(model, head, np.concatenate(branch_outputs, axis=1),
+                                           dropped)
     shifted = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     probs = ex / ex.sum(axis=1, keepdims=True)
@@ -376,7 +387,8 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy for every parameter."""
+    """Exact gradients of the mean cross-entropy for every parameter, in
+    `model.params` order."""
     labels = np.asarray(labels)
     probs = cache["probs"]
     bsz, classes = probs.shape
@@ -385,6 +397,7 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     mask = cache["mask"]
     last_idx = cache["last_idx"]
     rows = np.arange(bsz)
+    h = model.hidden
     masks = cache["dropout"]
 
     def undrop(d, key):
@@ -398,61 +411,18 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     dldp[rows[active], labels[active]] = -1.0 / (bsz * picked[active])
     # softmax jacobian: dz = p * (dldp - sum_j dldp_j p_j)
     inner = (dldp * probs).sum(axis=1, keepdims=True)
-    dlogits_dropped = probs * (dldp - inner)
-    dlogits = undrop(dlogits_dropped, "head.out")
-
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-
-    a_last = cache["head"]["inputs"][-1]
-    grads["head.out.W"] += dlogits.T @ a_last
-    grads["head.out.b"] += dlogits.sum(axis=0)
-    da = dlogits @ model.params["head.out.W"]
-    for i in range(len(model.head) - 1, -1, -1):
-        da = undrop(da, f"head.{i}")
-        dpre = da * (cache["head"]["pres"][i] > 0)
-        grads[f"head.{i}.W"] += dpre.T @ cache["head"]["inputs"][i]
-        grads[f"head.{i}.b"] += dpre.sum(axis=0)
-        da = dpre @ model.params[f"head.{i}.W"]
-
-    offset = 0
-    for name in model.branches:
-        bc = cache["branches"][name]
-        d_branch = da[:, offset:offset + model.fc_out]
-        offset += model.fc_out
-
-        d_fc_act = undrop(d_branch, f"{name}.fc")
-        d_fc_pre = d_fc_act * (bc["fc_pre"] > 0)
-        grads[f"{name}.fc.W"] += d_fc_pre.T @ bc["fc_in"]
-        grads[f"{name}.fc.b"] += d_fc_pre.sum(axis=0)
-        d_summary_d = d_fc_pre @ model.params[f"{name}.fc.W"]
-        d_summary = undrop(d_summary_d, f"{name}.summary")
-
-        h = model.hidden
-        d_h1d = None
-        for d_i, direction in enumerate(model.directions):
-            part = d_summary[:, d_i * h:(d_i + 1) * h]
-            layer_cache = bc[f"l2.{direction}"]
-            d_hidden = np.zeros_like(layer_cache["hidden"])
-            if direction == "fwd":
-                d_hidden[rows, last_idx] = part
-            else:
-                d_hidden[:, 0] = part
-            dw, du, dbias, dx = lstm_backward(layer_cache, d_hidden)
-            p = f"{name}.l2.{direction}"
-            grads[f"{p}.W"] += dw
-            grads[f"{p}.U"] += du
-            grads[f"{p}.b"] += dbias
-            d_h1d = dx if d_h1d is None else d_h1d + dx
-
-        d_h1 = undrop(d_h1d, f"{name}.l1")
-        for d_i, direction in enumerate(model.directions):
-            layer_cache = bc[f"l1.{direction}"]
-            dw, du, dbias, _ = lstm_backward(layer_cache, d_h1[:, :, d_i * h:(d_i + 1) * h])
-            p = f"{name}.l1.{direction}"
-            grads[f"{p}.W"] += dw
-            grads[f"{p}.U"] += du
-            grads[f"{p}.b"] += dbias
-    return grads
+    grads = {}
+    da = _dense_backward(model, cache["head"], probs * (dldp - inner), undrop, grads)
+    for i, name in enumerate(model.branches):
+        l1, l2, fc = cache["branches"][name]
+        d_fc = da[:, i * model.fc_out:(i + 1) * model.fc_out]
+        d_summary = undrop(_dense_backward(model, fc, d_fc, undrop, grads), f"{name}.summary")
+        d_h2 = np.zeros((bsz, mask.shape[1], model.summary_dim))
+        d_h2[rows, last_idx, :h] = d_summary[:, :h]
+        d_h2[:, 0, h:] = d_summary[:, h:]
+        d_h1 = _bilstm_backward(l2, d_h2, grads, input_grad=True)
+        _bilstm_backward(l1, undrop(d_h1, f"{name}.l1"), grads, input_grad=False)
+    return {key: grads[key] for key in model.params}
 
 
 @dataclass
@@ -493,14 +463,33 @@ def clip_gradients(grads, clip_norm: float) -> float:
     return total
 
 
+def _sample_length(model, sample):
+    t_len = None
+    for name in model.branches:
+        arr = sample.streams.get(name)
+        if arr is None:
+            raise ShapeMismatch(f"missing stream for branch {name!r}")
+        if arr.ndim != 2 or arr.shape[1] != model.input_dims[name]:
+            raise ShapeMismatch(f"{name}: expected (frames, {model.input_dims[name]}), "
+                                f"got {arr.shape}")
+        if t_len is not None and arr.shape[0] != t_len:
+            raise ShapeMismatch(f"{name}: {arr.shape[0]} frames, but "
+                                f"{model.branches[0]} has {t_len}")
+        t_len = arr.shape[0]
+    return t_len
+
+
 def pad_batch(model: NetworkModel, samples: list[Sample]):
-    """Stack variable-length samples into padded streams plus a prefix mask."""
-    t_max = max(s.streams[model.branches[0]].shape[0] for s in samples)
+    """Stack variable-length samples into padded streams plus a prefix mask.
+
+    Every sample needs a (T, input_dims[branch]) stream per branch, all of
+    one length T."""
+    lengths = [_sample_length(model, s) for s in samples]
+    t_max = max(lengths)
     bsz = len(samples)
     mask = np.zeros((bsz, t_max), dtype=bool)
     streams = {name: np.zeros((bsz, t_max, model.input_dims[name])) for name in model.branches}
-    for i, sample in enumerate(samples):
-        t_i = sample.streams[model.branches[0]].shape[0]
+    for i, (sample, t_i) in enumerate(zip(samples, lengths)):
         mask[i, :t_i] = True
         for name in model.branches:
             streams[name][i, :t_i] = sample.streams[name]
@@ -552,6 +541,8 @@ def train(model: NetworkModel, samples: list[Sample],
     if labels_all.min() < 0 or labels_all.max() >= model.classes:
         raise LabelOutOfRange(
             f"labels must be in [0, {model.classes}), got [{labels_all.min()}, {labels_all.max()}]")
+    for sample in samples:  # fit_normalization stacks the streams before pad_batch checks them
+        _sample_length(model, sample)
 
     fit_normalization(model, samples)
     rng = np.random.default_rng(config.rng_seed)

@@ -5,14 +5,14 @@ import numpy as np
 from gestrec.network import backward, cross_entropy, forward, init_model
 
 
-def random_tiny_model(rng):
+def random_tiny_model(rng, bidirectional=True, dropout=0.3):
     dims = {"global": int(rng.integers(3, 6)),
             "finger": int(rng.integers(3, 6)),
             "skeleton": int(rng.integers(3, 6))}
     model = init_model(
         ("global", "finger", "skeleton"), dims, classes=3,
         hidden=int(rng.integers(2, 4)), fc_out=int(rng.integers(2, 4)),
-        head=(int(rng.integers(3, 5)),), dropout=0.3, bidirectional=True,
+        head=(int(rng.integers(3, 5)),), dropout=dropout, bidirectional=bidirectional,
         seed=int(rng.integers(0, 2 ** 31)))
     # jitter every parameter (biases included) so no ReLU pre-activation sits
     # exactly on its kink, where finite differences and the subgradient

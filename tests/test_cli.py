@@ -11,7 +11,7 @@ import gestrec
 from gestrec.cli import main
 from gestrec.dataset import scan_dataset
 from gestrec.errors import GestrecError
-from gestrec.features import read_feature_file
+from gestrec.features import read_feature_file, write_feature_file
 from gestrec.network import load_checkpoint
 
 TINY_CONFIG = """
@@ -215,6 +215,7 @@ MALFORMED = [
     ("loocv", "config", TINY_CONFIG + "stop_accuracy = 7\n"),
     ("extract", "config", b"lags = 1\xff\n"),
     ("synth", "scripts", b"[script a]\ngesture = \xff1\n"),
+    ("train", "dims", 24),
 ]
 
 
@@ -227,7 +228,16 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
               "loocv": ["--dataset", synth_root, "--out", tmp_path / "report"],
               "extract": ["--dataset", synth_root, "--out", tmp_path / "feats"]}[command]
     path = tmp_path / "input.txt"
-    if kind == "header":
+    if kind == "dims":
+        # one sequence's global stream narrowed to `content` dims, as if it
+        # had been extracted with fewer lags than the rest
+        inputs[1] = tmp_path / "bad_feats"
+        shutil.copytree(feature_dir, inputs[1])
+        path = sorted(inputs[1].glob("*_global.feat"))[-1]
+        meta, array = read_feature_file(path)
+        write_feature_file(path, "global", array[:, :content], meta["gesture"],
+                           meta["finger"], meta["subject"], meta["trial"])
+    elif kind == "header":
         inputs[1] = tmp_path / "bad_feats"
         inputs[1].mkdir()
         path = inputs[1] / "g01_f01_s01_t01_global.feat"

@@ -182,7 +182,8 @@ def test_lstm_matches_per_step_oracle(lengths, reverse):
     d_hidden = rng.normal(size=(len(lengths), t_len, h))
 
     hidden, cache = lstm_forward(w, u, b, x, mask, reverse=reverse)
-    grads = lstm_backward(cache, d_hidden)
+    dw, du, db, dz = lstm_backward(cache, d_hidden)
+    grads = (dw, du, db, dz @ w)
     want_hidden, want_gates, want_cell = _oracle_lstm_forward(w, u, b, x, mask, reverse)
     want_grads = _oracle_lstm_backward(w, u, x, mask, want_hidden, want_cell, want_gates,
                                        reverse, d_hidden)
@@ -273,6 +274,30 @@ def test_forward_shape_and_mask_errors():
         forward(model, streams, empty)
 
 
+def test_dropout_masks_follow_the_documented_draw_order():
+    # every trained model's reproducibility rests on this order: per branch
+    # l1, summary, fc, then head.0, ..., head.out, each drawn as
+    # (rng.random(shape) >= p) / (1 - p) from the generator passed in
+    for bidirectional in (True, False):
+        model = small_model(dropout=0.3, seed=41, bidirectional=bidirectional)
+        streams, mask = batch_for(model, np.random.default_rng(42), lengths=[6, 2, 4])
+        _, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(43))
+        bsz, t_len = mask.shape
+        shapes = {}
+        for name in model.branches:
+            shapes[f"{name}.l1"] = (bsz, t_len, model.summary_dim)
+            shapes[f"{name}.summary"] = (bsz, model.summary_dim)
+            shapes[f"{name}.fc"] = (bsz, model.fc_out)
+        for i, width in enumerate(model.head):
+            shapes[f"head.{i}"] = (bsz, width)
+        shapes["head.out"] = (bsz, model.classes)
+        assert list(cache["dropout"]) == list(shapes)
+        rng = np.random.default_rng(43)
+        for key, shape in shapes.items():
+            want = (rng.random(shape) >= 0.3).astype(np.float64) / (1.0 - 0.3)
+            np.testing.assert_array_equal(cache["dropout"][key], want, err_msg=key)
+
+
 # --------------------------------------------------------------------- loss
 
 def test_loss_uniform_is_log_c():
@@ -346,9 +371,10 @@ def test_adam_two_steps_match_scalar_oracle():
 
 # ---------------------------------------------------------------- gradients
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("bidirectional,dropout", [(True, 0.3), (False, 0.3), (True, 0.0)])
+def test_gradients_match_finite_differences(bidirectional, dropout):
     rng = np.random.default_rng(13)
-    model = random_tiny_model(rng)
+    model = random_tiny_model(rng, bidirectional=bidirectional, dropout=dropout)
     streams, mask, labels = random_batch(model, rng, batch=2, t_len=4)
     err = max_relative_error(model, streams, mask, labels, np.random.default_rng(14))
     assert err < 1e-4
@@ -439,6 +465,14 @@ def test_train_rejects_out_of_range_labels():
         train(model, samples, TrainConfig(epochs=1))
 
 
+def test_train_rejects_mismatched_stream_width():
+    model = small_model(seed=24, classes=3)
+    samples = make_samples(model, np.random.default_rng(25))
+    samples[1].streams["finger"] = samples[1].streams["finger"][:, :-1]
+    with pytest.raises(ShapeMismatch, match="finger"):
+        train(model, samples, TrainConfig(epochs=1))
+
+
 def test_initialization_bounds_and_forget_bias():
     model = small_model(seed=26)
     h = model.hidden
@@ -487,6 +521,25 @@ def test_predict_matches_forward_exactly():
     expected, _ = forward(model, batch, np.ones((1, 6), dtype=bool))
     np.testing.assert_array_equal(probs, expected[0])
     assert label == int(np.argmax(expected[0]))
+
+
+@pytest.mark.parametrize("case,error,message", [
+    ("missing", ShapeMismatch, "finger"), ("width", ShapeMismatch, "finger"),
+    ("length", ShapeMismatch, "finger"), ("empty", InvalidMask, "valid step")])
+def test_predict_rejects_malformed_streams(case, error, message):
+    model = small_model(seed=34)
+    streams = {name: np.random.default_rng(35).normal(size=(6, dim))
+               for name, dim in model.input_dims.items()}
+    if case == "missing":
+        del streams["finger"]
+    elif case == "width":
+        streams["finger"] = streams["finger"][:, :-1]
+    elif case == "length":
+        streams["finger"] = streams["finger"][:-1]
+    else:
+        streams = {name: arr[:0] for name, arr in streams.items()}
+    with pytest.raises(error, match=message):
+        predict(model, streams)
 
 
 # -------------------------------------------------------------- checkpoints
