@@ -34,7 +34,7 @@ samples = [Sample(extract_features(s, config), s.gesture - 1) for s in sequences
 model = init_model(config.branches, {"global": 30, "finger": 100, "skeleton": 66},
                    classes=3, hidden=32, fc_out=32, head=(48, 24), dropout=0.2, seed=4)
 log = train(model, samples, TrainConfig(learning_rate=0.003, epochs=40,
-                                        batch_size=32, rng_seed=4))
+                                        batch_size=32, rng_seed=4, record_accuracy=True))
 
 print("\nepoch log (last 5):")
 for entry in log[-5:]:

@@ -121,11 +121,13 @@ def cmd_train(args) -> int:
     ]
     first_streams = grouped[0][1]
     dims = {name: first_streams[name].shape[1] for name in config.branches}
-    model, log = train_from_config(config, samples, dims, args.classes, args.seed)
+    model, log = train_from_config(config, samples, dims, args.classes, args.seed,
+                                   record_accuracy=True)
     save_checkpoint(model, args.out)
     log_path = args.log or Path(str(args.out) + ".log.csv")
-    rows = ["epoch,loss,train_accuracy"]
-    rows += [f"{e.epoch},{e.loss:.6f},{e.accuracy:.6f}" for e in log]
+    rows = ["epoch,loss,train_accuracy,grad_norm_mean,grad_norm_max,clipped_fraction,seconds"]
+    rows += [f"{e.epoch},{e.loss:.6f},{e.accuracy:.6f},{e.grad_norm_mean:.6f},"
+             f"{e.grad_norm_max:.6f},{e.clipped_fraction:.6f},{e.seconds:.3f}" for e in log]
     log_path.write_text("\n".join(rows) + "\n")
     print(f"trained on {len(samples)} sequences for {len(log)} epochs; "
           f"final train accuracy {log[-1].accuracy:.4f}")

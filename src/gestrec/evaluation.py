@@ -4,6 +4,7 @@ accuracy-loss metric."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,12 +171,13 @@ def _split_accuracies(preds, labels, config: PipelineConfig, classes: int):
 
 
 def train_from_config(config: PipelineConfig, samples: list[Sample],
-                      input_dims: dict[str, int], classes: int,
-                      seed: int) -> tuple[NetworkModel, list[EpochStats]]:
+                      input_dims: dict[str, int], classes: int, seed: int,
+                      record_accuracy: bool = False) -> tuple[NetworkModel, list[EpochStats]]:
     """Build the model `config` describes and train it on `samples`.
 
     `seed` drives the weights, the batch order and dropout; `input_dims` may
-    also list branches the config leaves out. Returns (model, epoch log).
+    also list branches the config leaves out. `record_accuracy` fills every
+    epoch's train accuracy (see `TrainConfig`). Returns (model, epoch log).
     """
     model = init_model(config.branches, {b: input_dims[b] for b in config.branches}, classes,
                        hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
@@ -183,7 +185,8 @@ def train_from_config(config: PipelineConfig, samples: list[Sample],
     train_cfg = TrainConfig(
         learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
         epsilon=config.epsilon, batch_size=config.batch_size, epochs=config.epochs,
-        rng_seed=seed, clip_norm=config.clip_norm, stop_accuracy=config.stop_accuracy)
+        rng_seed=seed, clip_norm=config.clip_norm, stop_accuracy=config.stop_accuracy,
+        record_accuracy=record_accuracy)
     return model, train(model, samples, train_cfg)
 
 
@@ -196,8 +199,9 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     Each split trains a fresh model (seeded from `seed` + held-out subject)
     on the other subjects' features; normalization statistics come from the
     training subset only. `progress`, if given, is called with a status line
-    per split. Precomputed per-sequence feature dicts can be passed via
-    `features` to amortize extraction across repeated runs.
+    per split. Precomputed per-sequence feature dicts, one per sequence in
+    the same order, can be passed via `features` to amortize extraction
+    across repeated runs.
     """
     if not sequences:
         raise EvaluationError("no sequences to evaluate")
@@ -209,6 +213,9 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
 
     if features is None:
         features = [extract_features(seq, config, layout) for seq in sequences]
+    elif len(features) != len(sequences):
+        raise EvaluationError(f"features has {len(features)} entries for "
+                              f"{len(sequences)} sequences")
     labels0 = [class_of(s.gesture, s.finger, classes) for s in sequences]
     input_dims = {"global": config.global_dim, "finger": config.finger_dim,
                   "skeleton": 3 * layout.joint_count}
@@ -218,6 +225,7 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     pooled_labels: list[int] = []
     confusion = np.zeros((classes, classes), dtype=np.int64)
     for split in splits:
+        started = time.perf_counter()
         train_idx = [by_key[e.key] for e in split.train_entries]
         test_idx = [by_key[e.key] for e in split.test_entries]
         train_samples = [Sample(features[i], labels0[i]) for i in train_idx]
@@ -237,7 +245,8 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
         if progress is not None:
             both = acc["both"]
             progress(f"subject {split.held_out_subject:2d}: "
-                     f"test acc {both:.4f} after {len(log)} epochs")
+                     f"test acc {both:.4f} after {len(log)} epochs, "
+                     f"{time.perf_counter() - started:.2f} s")
 
     aggregates: dict[str, AggregateStats | None] = {}
     for category in CATEGORIES:

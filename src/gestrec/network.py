@@ -9,6 +9,7 @@ run is deterministic given its seed on a single thread.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +54,7 @@ class TrainConfig:
     rng_seed: int = 0
     clip_norm: float = 5.0      # 0 disables clipping
     stop_accuracy: float = 0.0  # 0 disables early stopping
+    record_accuracy: bool = False  # measure train accuracy even without early stopping
 
 
 @dataclass
@@ -65,9 +67,17 @@ class Sample:
 
 @dataclass
 class EpochStats:
+    """One epoch of `train`. `accuracy` is the inference-mode training-set
+    accuracy, None unless early stopping or `record_accuracy` asked for it;
+    the gradient norms are the global L2 norms before clipping."""
+
     epoch: int
     loss: float
-    accuracy: float
+    accuracy: float | None
+    grad_norm_mean: float
+    grad_norm_max: float
+    clipped_fraction: float  # share of steps whose norm exceeded clip_norm
+    seconds: float
 
 
 @dataclass
@@ -529,11 +539,13 @@ def evaluate(model: NetworkModel, samples: list[Sample], batch_size: int = 64):
 
 def train(model: NetworkModel, samples: list[Sample],
           config: TrainConfig = TrainConfig()) -> list[EpochStats]:
-    """Train in place; returns the per-epoch (loss, train accuracy) log.
+    """Train in place; returns the per-epoch log.
 
     Normalization statistics are fit from `samples` before the first update.
-    Early-stops once inference-mode training accuracy reaches
-    `config.stop_accuracy` (if set above 0).
+    Inference-mode training accuracy costs a pass over `samples` per epoch,
+    so it is measured only when `config.stop_accuracy` is above 0 (training
+    stops once it is reached) or `config.record_accuracy` is set. Either way
+    the updates, and so the trained weights, are the same.
     """
     if not samples:
         raise EmptyDataset("no training samples")
@@ -547,10 +559,13 @@ def train(model: NetworkModel, samples: list[Sample],
     fit_normalization(model, samples)
     rng = np.random.default_rng(config.rng_seed)
     state = adam_init(model.params)
+    measure_accuracy = config.record_accuracy or config.stop_accuracy > 0
     log: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(len(samples))
         total_loss = 0.0
+        norms = []
         for start in range(0, len(samples), config.batch_size):
             batch = [samples[i] for i in order[start:start + config.batch_size]]
             labels = np.array([s.label for s in batch])
@@ -558,11 +573,17 @@ def train(model: NetworkModel, samples: list[Sample],
             probs, cache = forward(model, streams, mask, train_mode=True, rng=rng)
             total_loss += cross_entropy(probs, labels) * len(batch)
             grads = backward(model, cache, labels)
-            clip_gradients(grads, config.clip_norm)
+            norms.append(clip_gradients(grads, config.clip_norm))
             adam_step(model.params, grads, state, config)
-        preds, _ = evaluate(model, samples)
-        accuracy = float(np.mean(preds == labels_all))
-        log.append(EpochStats(epoch, total_loss / len(samples), accuracy))
+        accuracy = None
+        if measure_accuracy:
+            preds, _ = evaluate(model, samples)
+            accuracy = float(np.mean(preds == labels_all))
+        norms = np.array(norms)
+        clipped = float(np.mean(norms > config.clip_norm)) if config.clip_norm > 0 else 0.0
+        log.append(EpochStats(epoch, total_loss / len(samples), accuracy,
+                              float(norms.mean()), float(norms.max()), clipped,
+                              time.perf_counter() - started))
         if config.stop_accuracy > 0 and accuracy >= config.stop_accuracy:
             break
     return log

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import shutil
 
 import numpy as np
@@ -128,7 +129,8 @@ def test_train_overfits_synthetic_and_logs(feature_dir, config_file, tmp_path):
     model = load_checkpoint(ckpt)
     assert model.classes == 14
     log_lines = (tmp_path / "model.ckpt.log.csv").read_text().strip().splitlines()
-    assert log_lines[0] == "epoch,loss,train_accuracy"
+    assert log_lines[0] == ("epoch,loss,train_accuracy,grad_norm_mean,grad_norm_max,"
+                            "clipped_fraction,seconds")
     final_accuracy = float(log_lines[-1].split(",")[2])
     assert final_accuracy == 1.0
 
@@ -182,7 +184,9 @@ def test_loocv_report_files(synth_root, config_file, tmp_path, capsys):
     assert cells.sum() == 36
     # row sums equal per-class true counts: 6 per gesture for gestures 1..6
     np.testing.assert_array_equal(cells.sum(axis=1)[:6], 6)
-    assert "LOOCV over 3 subjects" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "LOOCV over 3 subjects" in out
+    assert len(re.findall(r"after \d+ epochs, \d+\.\d\d s\n", out)) == 3
 
 
 FEATURE_HEADER = {"kind": "global", "dims": 30, "frames": 4,

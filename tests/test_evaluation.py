@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gestrec.evaluation as evaluation
 from gestrec.evaluation import (
     EmptyFilter,
+    EvaluationError,
     OutOfRange,
     accuracy,
     aggregate_splits,
@@ -170,6 +173,31 @@ def test_run_loocv_train_normalization_excludes_test_subject(
                                           expected[branch]["mean"])
             np.testing.assert_array_equal(model.norm[branch]["std"],
                                           expected[branch]["std"])
+
+
+def test_run_loocv_predictions_do_not_depend_on_the_train_accuracy_pass(
+        tiny_sequences, tiny_config, tiny_report, monkeypatch):
+    logs = []
+    original_train = evaluation.train
+
+    def recording(model, samples, cfg):
+        log = original_train(model, samples, replace(cfg, record_accuracy=True))
+        logs.append(log)
+        return log
+
+    monkeypatch.setattr(evaluation, "train", recording)
+    forced = run_loocv(tiny_sequences, tiny_config, classes=14, seed=5)
+    assert tiny_config.stop_accuracy == 0
+    assert len(logs) == 3 and all(e.accuracy is not None for log in logs for e in log)
+    for a, b in zip(forced.splits, tiny_report.splits):
+        np.testing.assert_array_equal(a.predictions, b.predictions)
+    np.testing.assert_array_equal(forced.confusion, tiny_report.confusion)
+
+
+def test_run_loocv_rejects_features_of_another_length(tiny_sequences, tiny_config):
+    n = len(tiny_sequences)
+    with pytest.raises(EvaluationError, match=f"{n - 1} entries for {n} sequences"):
+        run_loocv(tiny_sequences, tiny_config, features=[{}] * (n - 1))
 
 
 def test_report_rendering_and_files(tiny_report, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import gestrec.network as network
 from gestrec.network import (
     CheckpointError,
     EmptyDataset,
@@ -431,15 +433,51 @@ def make_samples(model, rng, count=9, t_len=6):
     return samples
 
 
+def train_small(**config):
+    """Train a fresh dropout model on fixed samples; returns (params, log)."""
+    model = small_model(dropout=0.2, seed=18)
+    samples = make_samples(model, np.random.default_rng(19))
+    log = train(model, samples, TrainConfig(epochs=3, batch_size=4, rng_seed=20, **config))
+    return model.params, log
+
+
 def test_training_is_deterministic_given_seed():
-    results = []
-    for _ in range(2):
-        model = small_model(dropout=0.2, seed=18)
-        samples = make_samples(model, np.random.default_rng(19))
-        train(model, samples, TrainConfig(epochs=3, batch_size=4, rng_seed=20))
-        results.append({k: v.copy() for k, v in model.params.items()})
-    for key in results[0]:
-        np.testing.assert_array_equal(results[0][key], results[1][key])
+    (params_a, log_a), (params_b, log_b) = train_small(), train_small()
+    for key in params_a:
+        np.testing.assert_array_equal(params_a[key], params_b[key])
+    # every logged figure but the wall time repeats exactly
+    assert [dataclasses.replace(e, seconds=0.0) for e in log_a] == \
+        [dataclasses.replace(e, seconds=0.0) for e in log_b]
+    assert all(e.seconds > 0 for e in log_a)
+
+
+def test_train_accuracy_pass_runs_only_when_asked(monkeypatch):
+    calls = []
+    original = network.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(network, "evaluate", counting)
+    params_off, log_off = train_small()
+    assert len(calls) == 0
+    assert all(e.accuracy is None for e in log_off)
+    params_on, log_on = train_small(record_accuracy=True)
+    assert len(calls) == len(log_on) == 3
+    assert all(0.0 <= e.accuracy <= 1.0 for e in log_on)
+    # the pass draws no random numbers, so training is unchanged by it
+    for key in params_off:
+        assert np.array_equal(params_off[key], params_on[key])
+    assert [e.loss for e in log_off] == [e.loss for e in log_on]
+
+
+def test_train_records_gradient_norms_and_clipping():
+    _, clipped = train_small(clip_norm=1e-6)
+    _, unclipped = train_small(clip_norm=0.0)
+    assert all(e.clipped_fraction == 1.0 for e in clipped)
+    assert all(e.clipped_fraction == 0.0 for e in unclipped)
+    assert all(e.grad_norm_max >= e.grad_norm_mean > 0 for e in clipped + unclipped)
 
 
 def test_zero_learning_rate_keeps_parameters():
