@@ -92,12 +92,13 @@ def cmd_extract(args, parser) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     failed = 0
     for entry in index.entries:
-        # A bad sequence is reported and skipped; an OSError on output aborts.
+        # A bad or unreadable sequence is reported and skipped; an OSError on
+        # output aborts.
         try:
             streams = extract_features(load_sequence(entry, DEFAULT_LAYOUT), config,
                                        DEFAULT_LAYOUT, kinds=kinds)
-        except GestrecError as e:
-            reason = str(e)
+        except (GestrecError, OSError) as e:
+            reason = getattr(e, "strerror", None) or str(e)
             if not reason.startswith(str(entry.path)):
                 reason = f"{entry.path}: {reason}"
             _report_error(args.command, reason)

@@ -2,11 +2,14 @@
 
 Expected tree: gesture_<g>/finger_<f>/subject_<s>/essai_<t>/skeletons_world.txt,
 one frame per line, 3J whitespace-separated decimals (x y z per joint).
+Each file is converted with one numpy call; only a malformed file takes
+the slower per-line path, which names the bad line or frame.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +107,7 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
 def load_sequence(entry: DatasetEntry,
                   layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
     """Parse one skeleton file into a labelled sequence."""
-    expected = 3 * layout.joint_count
+    width = 3 * layout.joint_count
     try:
         with open(entry.path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -112,15 +115,42 @@ def load_sequence(entry: DatasetEntry,
         # read() decodes the whole file at once, so e.object holds all its bytes
         raise ParseError(entry.path, e.object.count(b"\n", 0, e.start) + 1,
                          f"byte 0x{e.object[e.start]:02x} is not UTF-8 text ({e.reason})") from e
+    values = _convert_whole(lines, width)
+    if values is None:
+        values = _convert_by_line(entry.path, lines, width)
+    positions = values.reshape(len(values), layout.joint_count, 3)
+    return SkeletonSequence(positions, gesture=entry.gesture, finger=entry.finger,
+                            subject=entry.subject, trial=entry.trial)
+
+
+def _convert_whole(lines: list[str], width: int) -> np.ndarray | None:
+    """Every frame in one C-level conversion, or None when the file is not
+    plainly `width` numbers per non-blank line.
+
+    loadtxt splits on the same whitespace as str.split and accepts a subset
+    of what float() accepts (no underscores, ASCII digits only), with the
+    same rounding, so whatever it accepts the per-line path accepts with
+    the same bits; everything else goes to the per-line path.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on an empty file
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return values if values.shape[1] == width and len(values) else None
+
+
+def _convert_by_line(path, lines: list[str], width: int) -> np.ndarray:
+    """The per-line conversion: slower, but it names the bad line or frame."""
     tokens = []
     for raw in lines:
         row = raw.split()
-        if row and len(row) != expected:
-            raise WrongJointCount(len(tokens) // expected, len(row), expected)
+        if row and len(row) != width:
+            raise WrongJointCount(len(tokens) // width, len(row), width)
         tokens += row
-    frames = len(tokens) // expected
-    if not frames:
-        raise ParseError(entry.path, 0, "file contains no frames")
+    if not tokens:
+        raise ParseError(path, 0, "file contains no frames")
     try:
         values = np.array(tokens, dtype=np.float64)
     except ValueError:
@@ -129,11 +159,9 @@ def load_sequence(entry: DatasetEntry,
             try:
                 np.array(raw.split(), dtype=np.float64)
             except ValueError as e:
-                raise ParseError(entry.path, lineno, str(e)) from e
+                raise ParseError(path, lineno, str(e)) from e
         raise
-    positions = values.reshape(frames, layout.joint_count, 3)
-    return SkeletonSequence(positions, gesture=entry.gesture, finger=entry.finger,
-                            subject=entry.subject, trial=entry.trial)
+    return values.reshape(-1, width)
 
 
 def make_loocv_splits(index: DatasetIndex) -> list[LoocvSplit]:

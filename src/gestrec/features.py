@@ -10,6 +10,7 @@ from . import container
 from .config import PipelineConfig
 from .errors import GestrecError
 from .finger_motion import finger_features
+from .geometry import kabsch_align
 from .global_motion import dad_config_for_sequence, global_features
 from .hand_model import DEFAULT_TEMPLATE, HandTemplate, reference_palm
 from .skeleton import (
@@ -38,10 +39,15 @@ def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineCon
     streams = {}
     if "global" in kinds:
         dad = dad_config_for_sequence(seq, layout, config.dad_bins, config.sigma_scale)
-        streams["global"] = global_features(
-            seq, layout, reference_palm(template), dad, config.lags, config.euler_convention)
+    if "global" in kinds or "finger" in kinds:
+        # one rigid pose per sequence serves both motion streams
+        pose = kabsch_align(seq.positions[:, list(layout.global_indices)],
+                            reference_palm(template))
+    if "global" in kinds:
+        streams["global"] = global_features(seq, layout, dad, config.lags,
+                                            config.euler_convention, pose=pose)
     if "finger" in kinds:
-        streams["finger"] = finger_features(seq, layout, template, config.lags)
+        streams["finger"] = finger_features(seq, layout, template, config.lags, pose=pose)
     if "skeleton" in kinds:
         streams["skeleton"] = normalize_skeleton_branch(seq, layout)
     return streams

@@ -31,7 +31,11 @@ def hand_local_frame(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
     """
     pts = np.asarray(frame, dtype=np.float64)
     rot, trans = kabsch_align(pts[..., list(layout.global_indices), :], reference_palm(template))
-    return (pts - trans[..., None, :]) @ rot, rot, trans
+    return _to_local(pts, rot, trans), rot, trans
+
+
+def _to_local(pts: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    return (pts - trans[..., None, :]) @ rot
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,6 +55,12 @@ def inverse_kinematics(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
     where |MCP flexion| < pi/2.
     """
     local, _, _ = hand_local_frame(frame, layout, template)
+    return _local_joint_angles(local, layout, template)
+
+
+def _local_joint_angles(local: np.ndarray, layout: JointLayout,
+                        template: HandTemplate) -> np.ndarray:
+    """`inverse_kinematics` of joints already in the hand-local frame."""
     bones = np.diff(local[..., np.array(layout.fingers), :], axis=-2)   # (..., 5, 3, 3)
     lengths = np.linalg.norm(bones, axis=-1)
     short = lengths < 1e-12
@@ -79,11 +89,18 @@ def inverse_kinematics(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
 
 def finger_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
                     template: HandTemplate = DEFAULT_TEMPLATE,
-                    lags: tuple[int, ...] = DEFAULT_LAGS) -> np.ndarray:
+                    lags: tuple[int, ...] = DEFAULT_LAGS, *,
+                    pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per-frame finger motion features, shape (T, 20 + 20 + 20*len(lags)).
 
     Joint angles per frame, their offset from frame 1, and differences to the
     frames `lags` steps back (clamped to frame 1); all differences wrapped to
-    (-pi, pi]. Expects a validated sequence.
+    (-pi, pi]. `pose` is the sequence's Kabsch (R, t) against the template's
+    reference palm, as `kabsch_align` returns it; without it the pose is
+    solved here. Expects a validated sequence.
     """
-    return with_differences(inverse_kinematics(seq.positions, layout, template), lags)
+    if pose is None:
+        angles = inverse_kinematics(seq.positions, layout, template)
+    else:
+        angles = _local_joint_angles(_to_local(seq.positions, *pose), layout, template)
+    return with_differences(angles, lags)

@@ -94,24 +94,33 @@ def frame_global_pose(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
     if reference is None:
         reference = reference_palm(DEFAULT_TEMPLATE)
     points = np.asarray(frame, dtype=np.float64)[..., list(layout.global_indices), :]
-    rot, trans = kabsch_align(points, reference)
+    return _global_pose(*kabsch_align(points, reference), convention)
+
+
+def _global_pose(rot: np.ndarray, trans: np.ndarray, convention: str) -> GlobalPose:
     return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
 
 
 def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
-                    reference: np.ndarray | None = None,
                     config: DadConfig | None = None,
                     lags: tuple[int, ...] = DEFAULT_LAGS,
-                    convention: str = "xyz") -> np.ndarray:
+                    convention: str = "xyz", *,
+                    pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per-frame global motion features, shape (T, 6 + 6 + 6*len(lags)).
 
     Each frame yields [rho_bin, theta, phi, r_x, r_y, r_z], its offset from
     frame 1, and its differences to the frames `lags` steps back (clamped to
-    frame 1). Expects a validated sequence.
+    frame 1). `pose` is the sequence's Kabsch (R (T, 3, 3), t (T, 3)) against
+    the reference palm, as `kabsch_align` returns it; without it the pose is
+    solved here against the default template's palm. Expects a validated
+    sequence.
     """
     if config is None:
         config = dad_config_for_sequence(seq, layout)
-    pose = frame_global_pose(seq.positions, layout, reference, convention)
-    rho, theta, azimuth = pose.translation_spherical
-    phi = np.stack([discretize_rho(rho, config), theta, azimuth, *pose.rotation], axis=1)
+    if pose is None:
+        rigid = frame_global_pose(seq.positions, layout, convention=convention)
+    else:
+        rigid = _global_pose(*pose, convention)
+    rho, theta, azimuth = rigid.translation_spherical
+    phi = np.stack([discretize_rho(rho, config), theta, azimuth, *rigid.rotation], axis=1)
     return with_differences(phi, lags, first_angle=1)

@@ -278,9 +278,10 @@ def _validate_batch(model, streams, mask):
     return mask
 
 
-def _bilstm_forward(model, prefix, x, mask):
+def _bilstm_forward(model, prefix, x, mask, keep):
     """Every direction of one LSTM layer. Returns the (B, T, h) hidden states
-    and the (prefix, cache) pairs of each direction, forward first."""
+    and, if `keep`, the (prefix, cache) pairs of each direction, forward
+    first; otherwise each direction's cache dies as soon as it returns."""
     outputs, layer = [], []
     for direction in model.directions:
         p = f"{prefix}.{direction}"
@@ -288,7 +289,8 @@ def _bilstm_forward(model, prefix, x, mask):
             model.params[f"{p}.W"], model.params[f"{p}.U"], model.params[f"{p}.b"],
             x, mask, reverse=direction == "bwd")
         outputs.append(hseq)
-        layer.append((p, layer_cache))
+        if keep:
+            layer.append((p, layer_cache))
     return outputs, layer
 
 
@@ -340,7 +342,9 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     explicit `dropout_masks` are supplied, each mask is drawn from `rng` when
     it is first used: per branch `l1`, `summary`, `fc`, then `head.0`, ...,
     `head.out`. The cache records the masks so gradients and finite
-    differences see the same network.
+    differences see the same network. Only a train-mode cache holds the
+    layer activations `backward` needs; an inference cache keeps none, so
+    each LSTM direction's gates and cell states are freed when it returns.
     """
     mask = _validate_batch(model, streams, mask)
     bsz = mask.shape[0]
@@ -366,19 +370,23 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     for name in model.branches:
         stats = model.norm[name]
         x = (streams[name] - stats["mean"]) / stats["std"]
-        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, mask)
+        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, mask, train_mode)
         h2, l2 = _bilstm_forward(model, f"{name}.l2",
-                                 dropped(np.concatenate(h1, axis=2), f"{name}.l1"), mask)
+                                 dropped(np.concatenate(h1, axis=2), f"{name}.l1"), mask,
+                                 train_mode)
         # forward direction at each sample's last valid step, backward at step 0
         summary = np.concatenate([h2[0][rows, last_idx], *(hb[:, 0] for hb in h2[1:])], axis=1)
         branch_out, fc = _dense_forward(model, [f"{name}.fc"],
                                         dropped(summary, f"{name}.summary"), dropped)
-        cache["branches"][name] = (l1, l2, fc)
+        if train_mode:
+            cache["branches"][name] = (l1, l2, fc)
         branch_outputs.append(branch_out)
 
     head = [f"head.{i}" for i in range(len(model.head))] + ["head.out"]
-    logits, cache["head"] = _dense_forward(model, head, np.concatenate(branch_outputs, axis=1),
-                                           dropped)
+    logits, head_layers = _dense_forward(model, head, np.concatenate(branch_outputs, axis=1),
+                                         dropped)
+    if train_mode:
+        cache["head"] = head_layers
     shifted = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     probs = ex / ex.sum(axis=1, keepdims=True)

@@ -109,6 +109,24 @@ def test_extract_reports_bad_sequences_and_writes_the_rest(synth_root, feature_d
         assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
 
 
+def test_extract_skips_an_unreadable_input_and_writes_the_rest(synth_root, feature_dir,
+                                                                tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_root, data)
+    skeletons = [entry.path for entry in scan_dataset(data).entries]
+    skeletons[0].unlink()
+    skeletons[0].mkdir()        # still scanned, but reading it raises IsADirectoryError
+    out = tmp_path / "feats"
+    assert run(["extract", "--dataset", data, "--out", out]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"gestrec extract: error: {skeletons[0]}: "), errors[0]
+    written = sorted(p.name for p in out.iterdir())
+    assert len(written) == 3 * (len(skeletons) - 1)
+    for name in written:
+        assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
+
+
 def test_extract_unknown_kind_is_usage_error(synth_root, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",

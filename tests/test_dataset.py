@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from gestrec.dataset import (
     MissingRoot,
     MissingSubject,
     ParseError,
+    _convert_by_line,
+    _convert_whole,
     load_sequence,
     make_loocv_splits,
     scan_dataset,
@@ -103,6 +106,87 @@ def test_load_sequence_errors_count_lines_from_one_and_frames_past_blanks(tmp_pa
     with pytest.raises(WrongJointCount) as err:
         load_sequence(entry)
     assert (err.value.frame, err.value.found) == (2, 65)
+
+
+_ROWS = np.random.default_rng(41).normal(0, 0.1, (4, 66))
+_GOOD = [" ".join(f"{v:.9g}" for v in row) for row in _ROWS]
+
+# files the whole-file conversion must take, as text before UTF-8 encoding
+WELL_FORMED = {
+    "tabs": "\n".join("\t".join(row.split()) for row in _GOOD) + "\n",
+    "repeated and trailing spaces": "\n".join("  " + "   ".join(row.split()) + " \t"
+                                            for row in _GOOD),
+    "crlf": "\r\n".join(_GOOD) + "\r\n",
+    "blank lines": "\n\n" + "\n \n\n".join(_GOOD) + "\n\t\n",
+    "scientific notation": "\n".join(" ".join(f"{v:.17e}" for v in row) for row in _ROWS),
+    "one frame": _GOOD[0] + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED))
+def test_whole_file_conversion_is_bit_equal_to_the_per_line_path(name, tmp_path):
+    path = tmp_path / "skeletons_world.txt"
+    path.write_bytes(WELL_FORMED[name].encode())
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert _convert_whole(lines, 66) is not None
+    expected = _convert_by_line(path, lines, 66)
+    positions = load_sequence(DatasetEntry(1, 1, 1, 1, path)).positions
+    assert positions.shape == (len(expected), 22, 3)
+    assert positions.tobytes() == expected.tobytes()
+
+
+_HASHED = [_GOOD[0], "#" + _GOOD[1], _GOOD[2]]   # a commented-out line is still an error
+_SHORT_LONG = [" ".join(_GOOD[0].split()[:65]), _GOOD[1] + " 1.0", _GOOD[2]]  # 65 + 67 + 66
+
+# content, error type, expected (attribute, value) pairs
+MALFORMED = {
+    "hash": ("\n".join(_HASHED).encode(), ParseError, [("line", 2)]),
+    "65 and 67 tokens": ("\n".join(_SHORT_LONG).encode(), WrongJointCount,
+                         [("frame", 0), ("found", 65)]),
+    "not utf-8": ("\n".join(_GOOD[:2]).encode() + b"\n0.1 \xff", ParseError, [("line", 3)]),
+    "all blank": (b"\n  \n\t\n\n", ParseError, [("line", 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_keep_their_typed_errors(name, tmp_path):
+    content, error, fields = MALFORMED[name]
+    path = tmp_path / "skeletons_world.txt"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as err:
+            load_sequence(DatasetEntry(1, 1, 1, 1, path))
+    assert caught == []
+    for field, value in fields:
+        assert getattr(err.value, field) == value, (field, str(err.value))
+
+
+def test_whole_file_conversion_never_accepts_what_the_per_line_path_rejects():
+    tokens = ["1", "-2.5", "3e-2", ".5", "+7.", "nan", "-inf", "1e999", "-0", "", "1_0",
+              "\u0661", "0x1", "#", "1.0\x00", "x", "1,5", "inf_"]
+    separators = [" ", "\t", "   ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+                  "\u3000", "\ufeff", "\x00", ","]
+    rng = np.random.default_rng(43)
+    taken = 0
+    for _ in range(2000):
+        lines = []
+        for _ in range(rng.integers(0, 3)):
+            count = rng.choice([0, 2, 3, 3, 3, 4])
+            parts = [str(rng.choice(tokens)) for _ in range(count)]
+            gaps = [str(rng.choice(separators)) for _ in range(count + 1)]
+            lines.append(gaps[0] + "".join(p + g for p, g in zip(parts, gaps[1:])))
+        fast = _convert_whole(lines, 3)
+        try:
+            slow = _convert_by_line("f", lines, 3)
+        except (ParseError, WrongJointCount):
+            assert fast is None, lines
+            continue
+        if fast is not None:
+            taken += 1
+            assert fast.tobytes() == slow.tobytes(), lines
+    assert taken > 10
+
 
 def entries_for(subjects, trials=2):
     out = []

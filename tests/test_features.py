@@ -1,10 +1,13 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 
+from gestrec import features, finger_motion, global_motion
 from gestrec.config import PipelineConfig
 from gestrec.features import (
+    FEATURE_KINDS,
     FeatureError,
     extract_features,
     feature_filename,
@@ -12,6 +15,10 @@ from gestrec.features import (
     read_feature_file,
     write_feature_file,
 )
+from gestrec.finger_motion import finger_features
+from gestrec.geometry import DegenerateInput
+from gestrec.global_motion import dad_config_for_sequence, global_features
+from gestrec.skeleton import DegeneratePalm, SkeletonSequence
 
 
 def test_extract_default_dims(tiny_sequences):
@@ -32,6 +39,51 @@ def test_extract_dims_follow_lag_config(tiny_sequences):
 def test_extract_subset_of_kinds(tiny_sequences):
     streams = extract_features(tiny_sequences[0], kinds=("finger",))
     assert set(streams) == {"finger"}
+
+
+@pytest.fixture
+def kabsch_calls(monkeypatch):
+    """Counts kabsch_align calls through every module attribute that holds it."""
+    calls = []
+    original = features.kabsch_align
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (features, global_motion, finger_motion):
+        monkeypatch.setattr(module, "kabsch_align", counted)
+    return calls
+
+
+@pytest.mark.parametrize("convention", ["xyz", "zyx"])
+def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_calls, convention):
+    config = PipelineConfig(euler_convention=convention)
+    full = tiny_sequences[4]
+    subsets = [k for n in range(1, 4) for k in itertools.combinations(FEATURE_KINDS, n)]
+    for frames in (1, 2, 11, full.num_frames):
+        seq = SkeletonSequence(full.positions[:frames])
+        dad = dad_config_for_sequence(seq, bins=config.dad_bins, sigma_scale=config.sigma_scale)
+        expected = {"global": global_features(seq, config=dad, lags=config.lags,
+                                              convention=convention),
+                    "finger": finger_features(seq, lags=config.lags)}
+        for kinds in subsets:
+            kabsch_calls.clear()
+            streams = extract_features(seq, config, kinds=kinds)
+            assert set(streams) == set(kinds)
+            assert len(kabsch_calls) == (0 if kinds == ("skeleton",) else 1), kinds
+            for kind in set(kinds) & set(expected):
+                assert streams[kind].tobytes() == expected[kind].tobytes(), (frames, kinds, kind)
+
+
+def test_degenerate_palm_is_reported_before_a_flat_frame(tiny_sequences):
+    positions = tiny_sequences[0].positions.copy()
+    positions[0, 2:] = positions[0, 1]      # frame 0: every joint but the wrist on the palm joint
+    positions[3] = np.linspace(0.0, 0.1, 22)[:, None] * [1.0, 2.0, 3.0]  # frame 3 on a line
+    with pytest.raises(DegeneratePalm):
+        extract_features(SkeletonSequence(positions))
+    with pytest.raises(DegenerateInput):    # the pose solve alone sees the flat frames
+        extract_features(SkeletonSequence(positions), kinds=("finger",))
 
 
 def test_feature_file_roundtrip(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,7 +390,7 @@ def test_zero_input_zero_bias_gives_zero_weight_gradients():
             model.params[key][:] = 0.0
     streams = {name: np.zeros((2, 5, dim)) for name, dim in model.input_dims.items()}
     mask = np.ones((2, 5), dtype=bool)
-    probs, cache = forward(model, streams, mask)
+    probs, cache = forward(model, streams, mask, train_mode=True)
     grads = backward(model, cache, np.array([0, 1]))
     for key, grad in grads.items():
         if key.endswith(".W") or key.endswith(".U"):
@@ -410,7 +411,7 @@ def test_batch_gradient_linearity_doubles_duplicate():
         streams = {name: np.concatenate([s[name] for s in streams_list])
                    for name in sample}
         mask = np.ones((len(streams_list), t_len), dtype=bool)
-        _, cache = forward(model, streams, mask)
+        _, cache = forward(model, streams, mask, train_mode=True)
         return backward(model, cache, np.array(labels))
 
     g_a = grads_of([sample], [0])
@@ -633,11 +634,32 @@ def test_malformed_checkpoint_raises_checkpoint_error(case, tmp_path):
         load_checkpoint(path)
 
 
+def test_inference_forward_keeps_no_backward_cache():
+    # the reference architecture at evaluate's batch size; without dropout
+    # both modes compute the same probabilities
+    dims = {"global": 30, "finger": 100, "skeleton": 66}
+    model = init_model(tuple(dims), dims, classes=14, dropout=0.0, seed=3)
+    rng = np.random.default_rng(4)
+    streams = {name: rng.normal(0, 1, (64, 38, dim)) for name, dim in dims.items()}
+    mask = np.ones((64, 38), dtype=bool)
+    probs, peaks = {}, {}
+    for train_mode in (False, True):
+        tracemalloc.start()
+        probs[train_mode], cache = forward(model, streams, mask, train_mode=train_mode)
+        peaks[train_mode] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert cache["branches"] and "head" in cache
+    _, cache = forward(model, streams, mask)
+    assert cache["branches"] == {} and "head" not in cache
+    assert peaks[False] < peaks[True] / 2, peaks
+    assert probs[False].tobytes() == probs[True].tobytes()
+
+
 def test_unidirectional_mode_works():
     model = small_model(seed=34, bidirectional=False)
     assert model.directions == ("fwd",)
     streams, mask = batch_for(model, np.random.default_rng(35))
-    probs, cache = forward(model, streams, mask)
+    probs, cache = forward(model, streams, mask, train_mode=True)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     grads = backward(model, cache, np.array([0, 1, 2]))
     assert set(grads) == set(model.params)
