@@ -2,8 +2,8 @@
 
 Expected tree: gesture_<g>/finger_<f>/subject_<s>/essai_<t>/skeletons_world.txt,
 one frame per line, 3J whitespace-separated decimals (x y z per joint).
-Each file is converted with one numpy call; only a malformed file takes
-the slower per-line path, which names the bad line or frame.
+Each file is converted with one numpy call; a file it refuses is read
+line by line only to name the bad line or frame in a typed error.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def load_sequence(entry: DatasetEntry,
                          f"byte 0x{e.object[e.start]:02x} is not UTF-8 text ({e.reason})") from e
     values = _convert_whole(lines, width)
     if values is None:
-        values = _convert_by_line(entry.path, lines, width)
+        raise _first_error(entry.path, lines, width)
     positions = values.reshape(len(values), layout.joint_count, 3)
     return SkeletonSequence(positions, gesture=entry.gesture, finger=entry.finger,
                             subject=entry.subject, trial=entry.trial)
@@ -125,13 +125,14 @@ def load_sequence(entry: DatasetEntry,
 
 def _convert_whole(lines: list[str], width: int) -> np.ndarray | None:
     """Every frame in one C-level conversion, or None when the file is not
-    plainly `width` numbers per non-blank line.
+    plainly ASCII text of `width` numbers per non-blank line.
 
-    loadtxt splits on the same whitespace as str.split and accepts a subset
-    of what float() accepts (no underscores, ASCII digits only), with the
-    same rounding, so whatever it accepts the per-line path accepts with
-    the same bits; everything else goes to the per-line path.
+    loadtxt splits lines on Unicode whitespace, as str.split does, and
+    reads a subset of what float() reads: no underscores, ASCII digits
+    only. DHG files are ASCII, so any other character marks a corrupt file.
     """
+    if not all(map(str.isascii, lines)):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns on an empty file
@@ -141,27 +142,27 @@ def _convert_whole(lines: list[str], width: int) -> np.ndarray | None:
     return values if values.shape[1] == width and len(values) else None
 
 
-def _convert_by_line(path, lines: list[str], width: int) -> np.ndarray:
-    """The per-line conversion: slower, but it names the bad line or frame."""
-    tokens = []
+def _first_error(path, lines: list[str], width: int) -> GestrecError:
+    """The typed error for a file `_convert_whole` refused, read line by line
+    only to name its first bad frame or line: a frame without `width`
+    values, then a value float() cannot read, then a line loadtxt does not
+    read, such as one holding `1_0`, a non-ASCII digit or a no-break space."""
+    frames = 0
     for raw in lines:
         row = raw.split()
         if row and len(row) != width:
-            raise WrongJointCount(len(tokens) // width, len(row), width)
-        tokens += row
-    if not tokens:
-        raise ParseError(path, 0, "file contains no frames")
-    try:
-        values = np.array(tokens, dtype=np.float64)
-    except ValueError:
-        # the same conversion line by line, only to name the bad line
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                np.array(raw.split(), dtype=np.float64)
-            except ValueError as e:
-                raise ParseError(path, lineno, str(e)) from e
-        raise
-    return values.reshape(-1, width)
+            return WrongJointCount(frames, len(row), width)
+        frames += bool(row)
+    if not frames:
+        return ParseError(path, 0, "file contains no frames")
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            np.array(raw.split(), dtype=np.float64)
+        except ValueError as e:
+            return ParseError(path, lineno, str(e))
+        if not raw.isascii() or raw.split() and _convert_whole([raw], width) is None:
+            return ParseError(path, lineno, "a value or separator is not plain ASCII decimal text")
+    return ParseError(path, 0, "a value or separator is not plain ASCII decimal text")
 
 
 def make_loocv_splits(index: DatasetIndex) -> list[LoocvSplit]:

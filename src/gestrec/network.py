@@ -147,120 +147,13 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
     return model
 
 
-def lstm_forward(w, u, b, x, mask, reverse=False):
-    """One LSTM direction over a padded batch.
-
-    `x` is (B, T, d), `mask` (B, T) with valid steps as a prefix. Masked steps
-    copy the previous hidden/cell state; the reverse direction consumes time
-    back-to-front so its state at position t summarizes x_t..x_last.
-    Returns (hidden (B, T, h), cache for backward); the cache's `gates` hold
-    the (i, f, g, o) activations.
-    """
-    bsz, t_len, d = x.shape
-    h = u.shape[1]
-    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
-    # tanh(z * scale) * scale + shift gives all four gates with one tanh
-    scale = np.full(4 * h, 0.5)
-    scale[2 * h:3 * h] = 1.0
-    shift = 1.0 - scale
-    # every step's input projection in one GEMM; the loop adds only h_prev @ U
-    gates = ((x.reshape(-1, d) @ w.T + b) * scale).reshape(bsz, t_len, 4 * h)
-    u_scaled = u.T * scale
-    hidden = np.zeros((bsz, t_len, h))
-    cell = np.zeros((bsz, t_len, h))
-    h_prev = np.zeros((bsz, h))
-    c_prev = np.zeros((bsz, h))
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in order:
-        m = mask[:, t:t + 1]
-        g = gates[:, t]
-        g += h_prev @ u_scaled
-        np.tanh(g, out=g)
-        g *= scale
-        g += shift
-        c_new = g[:, h:2 * h] * c_prev + g[:, :h] * g[:, 2 * h:3 * h]
-        h_new = g[:, 3 * h:] * np.tanh(c_new)
-        h_prev = np.where(m, h_new, h_prev)
-        c_prev = np.where(m, c_new, c_prev)
-        hidden[:, t] = h_prev
-        cell[:, t] = c_prev
-    cache = {"x": x, "mask": mask, "hidden": hidden, "cell": cell,
-             "gates": gates, "w": w, "u": u, "reverse": reverse}
-    return hidden, cache
-
-
-def lstm_backward(cache, d_hidden):
-    """Exact BPTT for one direction. Returns (dW, dU, db, dz).
-
-    dz (B, T, 4h), the gradient at the gate pre-activations, is
-        dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
-        dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
-    on valid steps and 0 on masked ones. Every factor but dc and dh is filled
-    in for all steps up front; the time loop only carries dh and dc back and
-    scales dz by them. dW, dU and db are then one reduction each over dz; the
-    input gradient, for a caller that needs it, is `dz @ W`.
-    """
-    x, mask = cache["x"], cache["mask"]
-    hidden, cell, gates = cache["hidden"], cache["cell"], cache["gates"]
-    u = cache["u"]
-    bsz, t_len, d = x.shape
-    h = u.shape[1]
-    reverse = cache["reverse"]
-    # the first step processed starts from the zero state; every other step t
-    # starts from the state at t_prev (t + 1 in reverse, else t - 1)
-    first = t_len - 1 if reverse else 0
-    t_has_prev, t_prev = ((slice(0, -1), slice(1, None)) if reverse
-                          else (slice(1, None), slice(0, -1)))
-    valid = mask[:, :, None]
-    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
-    dz = 1.0 - gates
-    dz *= gates  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
-    dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
-    dz_i *= gg
-    dz_f[:, t_has_prev] *= cell[:, t_prev]
-    dz_f[:, first] = 0.0
-    np.multiply(gg, gg, out=dz_g)
-    np.subtract(1.0, dz_g, out=dz_g)
-    dz_g *= gi
-    tanh_c = np.tanh(cell)
-    dz_o *= tanh_c
-    dz *= valid
-    # dc/dh through h = o * tanh(c), 0 on masked steps (in tanh_c's buffer)
-    dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= go
-    dc_dh *= valid
-
-    dz4 = dz.reshape(bsz, t_len, 4, h)
-    dh_carry = np.zeros((bsz, h))
-    dc = np.zeros((bsz, h))
-    for t in (range(t_len) if reverse else range(t_len - 1, -1, -1)):
-        dh = d_hidden[:, t] + dh_carry
-        dc += dh * dc_dh[:, t]
-        dz4[:, t, :3] *= dc[:, None]
-        dz4[:, t, 3] *= dh
-        dh_carry = np.where(mask[:, t:t + 1], dz[:, t] @ u, dh)
-        # Valid steps form a prefix, so a masked step either precedes every
-        # valid one here (forward: dc is still 0) or follows them all
-        # (reverse: its dc reaches no valid step); gf needs no mask.
-        dc *= gf[:, t]
-
-    dz2 = dz.reshape(-1, 4 * h)
-    dw = dz2.T @ x.reshape(-1, d)
-    db = dz2.sum(axis=0)
-    # dU pairs each step's dz with h at t_prev. With the first step's dz
-    # zeroed (its h_prev is 0), shifting the flat (B*T) rows by one pairs
-    # every row correctly, so one GEMM over views does it without a copy.
-    dz_first = dz[:, first].copy()
-    dz[:, first] = 0.0
-    h2 = hidden.reshape(-1, h)
-    du = dz2[:-1].T @ h2[1:] if reverse else dz2[1:].T @ h2[:-1]
-    dz[:, first] = dz_first
-    return dw, du, db, dz
-
-
 def _validate_batch(model, streams, mask):
     mask = np.asarray(mask)
+    if mask.dtype != bool:
+        if mask.dtype.kind not in "iu" or not np.all((mask == 0) | (mask == 1)):
+            raise InvalidMask(f"mask must be boolean, or integers holding only 0 and 1; "
+                              f"got dtype {mask.dtype}")
+        mask = mask.astype(bool)
     if mask.ndim != 2:
         raise InvalidMask(f"mask must be (batch, time), got {mask.shape}")
     if np.any(mask[:, 1:] & ~mask[:, :-1]):
@@ -278,32 +171,170 @@ def _validate_batch(model, streams, mask):
     return mask
 
 
-def _bilstm_forward(model, prefix, x, mask, keep):
-    """Every direction of one LSTM layer. Returns the (B, T, h) hidden states
-    and, if `keep`, the (prefix, cache) pairs of each direction, forward
-    first; otherwise each direction's cache dies as soon as it returns."""
-    outputs, layer = [], []
-    for direction in model.directions:
-        p = f"{prefix}.{direction}"
-        hseq, layer_cache = lstm_forward(
-            model.params[f"{p}.W"], model.params[f"{p}.U"], model.params[f"{p}.b"],
-            x, mask, reverse=direction == "bwd")
-        outputs.append(hseq)
-        if keep:
-            layer.append((p, layer_cache))
-    return outputs, layer
+@dataclass(frozen=True)
+class _Packing:
+    """Where each valid (sample, step) of a padded batch sits among the N
+    packed rows the LSTM layers run on.
+
+    Samples are stable-sorted by length, longest first, and rows are
+    time-major: step t is the contiguous block `steps[t]` = (first row, row
+    count) of the samples still running at t, in sorted order, so each
+    step's samples are the first rows of the step before. Padded steps have
+    no row.
+    """
+
+    steps: tuple[tuple[int, int], ...]
+    gather: np.ndarray  # (N,) each row's flat index into a (B * T) padded batch
+    flip: np.ndarray    # (N,) row of the same sample at step length - 1 - t
+    prev: np.ndarray    # row of step t - 1 for every row after step 0
+    last: np.ndarray    # (B,) each sample's last row, in batch order
 
 
-def _bilstm_backward(layer, d_out, grads, input_grad):
-    """Gradients of one `_bilstm_forward` layer from d_out (B, T, dirs * h),
-    written into `grads`; returns the input gradient if `input_grad`."""
+def _pack(mask) -> _Packing:
+    bsz, t_len = mask.shape
+    lengths = mask.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(bsz, dtype=np.intp)
+    rank[order] = np.arange(bsz)
+    valid = np.arange(lengths.max())[:, None] < lengths[order]  # (steps, sorted samples)
+    counts = valid.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    t, j = np.nonzero(valid)
+    return _Packing(steps=tuple(zip(starts.tolist(), counts.tolist())),
+                    gather=order[j] * t_len + t,
+                    flip=starts[lengths[order][j] - 1 - t] + j,
+                    prev=starts[t[bsz:] - 1] + j[bsz:],
+                    last=starts[lengths - 1] + rank)
+
+
+def _packed(padded, pack):
+    """The packed (N, d) rows of a padded (B, T, d) array."""
+    return padded.reshape(-1, padded.shape[-1])[pack.gather]
+
+
+def _flip_reverse(a, pack):
+    """`a` (N, dirs, ...) with the reverse direction's rows taken through
+    `pack.flip`, which maps its own time order to forward time order and
+    back."""
+    return np.concatenate([a[:, :1], a[pack.flip, 1:]], axis=1)
+
+
+def _bilstm_forward(model, prefix, x, pack, keep):
+    """Every direction of one LSTM layer in one time loop over packed rows.
+
+    `x` (N, d) is the layer input in forward time order. The reverse
+    direction reads it through `pack.flip`, so it runs forward in time over
+    each sample's flipped valid prefix: both directions share each step's
+    rows and end on each sample's last row. Returns the hidden states
+    (N, dirs, h), each direction in its own time order, and, if `keep`, the
+    cache `_bilstm_backward` reads; the cached `gates` hold the (i, f, g, o)
+    activations.
+    """
+    h = model.hidden
+    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
+    # tanh(z * scale) * scale + shift gives all four gates with one tanh
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
+    prefixes = [f"{prefix}.{direction}" for direction in model.directions]
+    gates = np.empty((len(x), len(prefixes), 4 * h))
+    for k, p in enumerate(prefixes):
+        # every step's input projection in one GEMM; the loop adds only h_prev @ U
+        g = np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
+                      out=gates[:, k])
+        g += model.params[f"{p}.b"]
+        g *= scale
+    # (dirs, h, 4h): each direction's U.T * scale
+    u_scaled = np.stack([model.params[f"{p}.U"] * scale[:, None] for p in prefixes]
+                        ).transpose(0, 2, 1)
+    # OpenBLAS rounds a one-row product, and at some sizes a two- or
+    # three-row one, through other kernels than a larger product. A padded
+    # batch multiplies all B rows at every step, so each step here
+    # multiplies at least min(B, 4) rows, reading past its own into zeros or
+    # finished rows: a sample's hidden states then do not depend on how
+    # many others are still running.
+    min_rows = min(len(pack.last), 4)
+    hidden = np.zeros((len(x) + min_rows - 1, len(prefixes), h))
+    cell = np.empty_like(hidden)
+    h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape)
+    product = np.empty((len(prefixes), len(h_prev), 4 * h))
+    for start, rows in pack.steps:
+        g = gates[start:start + rows]
+        m = max(rows, min_rows)
+        np.matmul(h_prev[:m].transpose(1, 0, 2), u_scaled, out=product[:, :m])
+        g += product[:, :rows].transpose(1, 0, 2)
+        np.tanh(g, out=g)
+        g *= scale
+        g += shift
+        c = np.multiply(g[..., h:2 * h], c_prev[:rows], out=cell[start:start + rows])
+        c += g[..., :h] * g[..., 2 * h:3 * h]
+        np.tanh(c, out=hidden[start:start + rows])
+        hidden[start:start + rows] *= g[..., 3 * h:]
+        h_prev, c_prev = hidden[start:], c
+    hidden, cell = hidden[:len(x)], cell[:len(x)]
+    return hidden, ((prefix, x, hidden, cell, gates) if keep else None)
+
+
+def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
+    """Exact BPTT for one `_bilstm_forward` layer from d_hidden (N, dirs, h),
+    which it overwrites. Writes dW, dU and db into `grads`; returns the input
+    gradient (N, d) in forward time order if `input_grad`.
+
+    dz (N, dirs, 4h), the gradient at the gate pre-activations, is
+        dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
+        dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
+    Every factor but dc and dh is filled in for all rows up front; one time
+    loop, last step first, carries dh and dc back for every direction and
+    scales dz by them. dW, dU and db are then one GEMM or sum each over the
+    valid rows.
+    """
+    prefix, x, hidden, cell, gates = layer
+    h = model.hidden
+    first = pack.steps[0][1]  # the rows of step 0 start from the zero state
+    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    dz = 1.0 - gates
+    dz *= gates  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
+    dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
+    dz_i *= gg
+    dz_f[first:] *= cell[pack.prev]
+    dz_f[:first] = 0.0
+    np.multiply(gg, gg, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    dz_g *= gi
+    tanh_c = np.tanh(cell)
+    dz_o *= tanh_c
+    # dc/dh through h = o * tanh(c), in tanh_c's buffer
+    dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+
+    prefixes = [f"{prefix}.{direction}" for direction in model.directions]
+    u = np.stack([model.params[f"{p}.U"] for p in prefixes])  # (dirs, 4h, h)
+    dz4 = dz.reshape(len(dz), len(prefixes), 4, h)
+    dh_carry = np.empty((len(prefixes), first, h))
+    dc_carry = hidden[:0]  # nothing flows into the last step
+    for start, rows in reversed(pack.steps):
+        block = slice(start, start + rows)
+        dh = d_hidden[block]
+        dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
+        dc = dh * dc_dh[block]
+        dc[:len(dc_carry)] += dc_carry
+        dz4[block, :, :3] *= dc[:, :, None]
+        dz4[block, :, 3] *= dh
+        np.matmul(dz[block].transpose(1, 0, 2), u, out=dh_carry[:, :rows])
+        dc *= gf[block]
+        dc_carry = dc
+
     d_x = None
-    for i, (p, layer_cache) in enumerate(layer):
-        h = layer_cache["u"].shape[1]
-        grads[f"{p}.W"], grads[f"{p}.U"], grads[f"{p}.b"], dz = lstm_backward(
-            layer_cache, d_out[:, :, i * h:(i + 1) * h])
+    for k, p in enumerate(prefixes):
+        reverse = p.endswith(".bwd")
+        grads[f"{p}.W"] = dz[:, k].T @ (x[pack.flip] if reverse else x)
+        grads[f"{p}.U"] = dz[first:, k].T @ hidden[pack.prev, k]
+        grads[f"{p}.b"] = dz[:, k].sum(axis=0)
         if input_grad:
-            part = (dz.reshape(-1, 4 * h) @ layer_cache["w"]).reshape(layer_cache["x"].shape)
+            part = dz[:, k] @ model.params[f"{p}.W"]
+            if reverse:
+                part = part[pack.flip]
             d_x = part if d_x is None else d_x + part
     return d_x
 
@@ -344,38 +375,39 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     `head.out`. The cache records the masks so gradients and finite
     differences see the same network. Only a train-mode cache holds the
     layer activations `backward` needs; an inference cache keeps none, so
-    each LSTM direction's gates and cell states are freed when it returns.
+    each LSTM layer's gates and cell states are freed when it returns.
     """
     mask = _validate_batch(model, streams, mask)
-    bsz = mask.shape[0]
-    last_idx = mask.sum(axis=1).astype(int) - 1
-    rows = np.arange(bsz)
+    bsz, t_len = mask.shape
+    pack = _pack(mask)
     use_dropout = train_mode and model.dropout > 0.0
     if use_dropout and dropout_masks is None:
         if rng is None:
             raise NetworkError("train-mode forward needs an rng (or explicit dropout masks)")
         dropout_masks = {}
 
-    def dropped(x, key):
-        if not use_dropout:
-            return x
+    def drop_mask(key, shape):
         if key not in dropout_masks:
-            keep = (rng.random(x.shape) >= model.dropout).astype(np.float64)
+            keep = (rng.random(shape) >= model.dropout).astype(np.float64)
             dropout_masks[key] = keep / (1.0 - model.dropout)
-        return x * dropout_masks[key]
+        return dropout_masks[key]
 
-    cache = {"mask": mask, "last_idx": last_idx, "dropout": dropout_masks if use_dropout else None,
+    def dropped(x, key):
+        return x * drop_mask(key, x.shape) if use_dropout else x
+
+    cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
              "branches": {}}
     branch_outputs = []
     for name in model.branches:
         stats = model.norm[name]
-        x = (streams[name] - stats["mean"]) / stats["std"]
-        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, mask, train_mode)
-        h2, l2 = _bilstm_forward(model, f"{name}.l2",
-                                 dropped(np.concatenate(h1, axis=2), f"{name}.l1"), mask,
-                                 train_mode)
-        # forward direction at each sample's last valid step, backward at step 0
-        summary = np.concatenate([h2[0][rows, last_idx], *(hb[:, 0] for hb in h2[1:])], axis=1)
+        x = (_packed(streams[name], pack) - stats["mean"]) / stats["std"]
+        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode)
+        x = _flip_reverse(h1, pack).reshape(len(h1), -1)
+        if use_dropout:
+            x *= _packed(drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)), pack)
+        h2, l2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode)
+        # each direction's last row: forward at the last valid step, reverse at step 0
+        summary = h2[pack.last].reshape(bsz, -1)
         branch_out, fc = _dense_forward(model, [f"{name}.fc"],
                                         dropped(summary, f"{name}.summary"), dropped)
         if train_mode:
@@ -412,10 +444,8 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     bsz, classes = probs.shape
     if labels.min() < 0 or labels.max() >= classes:
         raise LabelOutOfRange(f"labels out of range for {classes} classes")
-    mask = cache["mask"]
-    last_idx = cache["last_idx"]
+    pack = cache["pack"]
     rows = np.arange(bsz)
-    h = model.hidden
     masks = cache["dropout"]
 
     def undrop(d, key):
@@ -435,11 +465,13 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
         l1, l2, fc = cache["branches"][name]
         d_fc = da[:, i * model.fc_out:(i + 1) * model.fc_out]
         d_summary = undrop(_dense_backward(model, fc, d_fc, undrop, grads), f"{name}.summary")
-        d_h2 = np.zeros((bsz, mask.shape[1], model.summary_dim))
-        d_h2[rows, last_idx, :h] = d_summary[:, :h]
-        d_h2[:, 0, h:] = d_summary[:, h:]
-        d_h1 = _bilstm_backward(l2, d_h2, grads, input_grad=True)
-        _bilstm_backward(l1, undrop(d_h1, f"{name}.l1"), grads, input_grad=False)
+        d_h2 = np.zeros_like(l2[2])  # shaped like layer 2's hidden states
+        d_h2[pack.last] = d_summary.reshape(bsz, -1, model.hidden)
+        d_x = _bilstm_backward(model, l2, pack, d_h2, grads, input_grad=True)
+        if masks is not None:
+            d_x *= _packed(masks[f"{name}.l1"], pack)
+        d_h1 = _flip_reverse(d_x.reshape(len(d_x), -1, model.hidden), pack)
+        _bilstm_backward(model, l1, pack, d_h1, grads, input_grad=False)
     return {key: grads[key] for key in model.params}
 
 
@@ -534,6 +566,8 @@ def fit_normalization(model: NetworkModel, samples: list[Sample],
 
 def evaluate(model: NetworkModel, samples: list[Sample], batch_size: int = 64):
     """Inference-mode predictions; returns (predicted labels, probabilities)."""
+    if batch_size < 1:
+        raise NetworkError(f"batch_size must be at least 1, got {batch_size}")
     preds = np.empty(len(samples), dtype=int)
     all_probs = np.empty((len(samples), model.classes))
     for start in range(0, len(samples), batch_size):

@@ -12,8 +12,8 @@ from gestrec.dataset import (
     MissingRoot,
     MissingSubject,
     ParseError,
-    _convert_by_line,
     _convert_whole,
+    _first_error,
     load_sequence,
     make_loocv_splits,
     scan_dataset,
@@ -108,6 +108,11 @@ def test_load_sequence_errors_count_lines_from_one_and_frames_past_blanks(tmp_pa
     assert (err.value.frame, err.value.found) == (2, 65)
 
 
+def per_line_values(lines, width):
+    """The reference conversion: float() on every token, line by line."""
+    return np.array([float(v) for raw in lines for v in raw.split()]).reshape(-1, width)
+
+
 _ROWS = np.random.default_rng(41).normal(0, 0.1, (4, 66))
 _GOOD = [" ".join(f"{v:.9g}" for v in row) for row in _ROWS]
 
@@ -129,7 +134,7 @@ def test_whole_file_conversion_is_bit_equal_to_the_per_line_path(name, tmp_path)
     path.write_bytes(WELL_FORMED[name].encode())
     lines = path.read_text(encoding="utf-8").split("\n")
     assert _convert_whole(lines, 66) is not None
-    expected = _convert_by_line(path, lines, 66)
+    expected = per_line_values(lines, 66)
     positions = load_sequence(DatasetEntry(1, 1, 1, 1, path)).positions
     assert positions.shape == (len(expected), 22, 3)
     assert positions.tobytes() == expected.tobytes()
@@ -145,6 +150,13 @@ MALFORMED = {
                          [("frame", 0), ("found", 65)]),
     "not utf-8": ("\n".join(_GOOD[:2]).encode() + b"\n0.1 \xff", ParseError, [("line", 3)]),
     "all blank": (b"\n  \n\t\n\n", ParseError, [("line", 0)]),
+    # values float() reads but a DHG file never holds
+    "underscore": ("\n".join([_GOOD[0], _GOOD[1].replace(" ", " 1_0 ", 1).split(" ", 1)[1],
+                              _GOOD[2]]).encode(), ParseError, [("line", 2)]),
+    "arabic-indic digit": ("\n".join(_GOOD[:2] + ["\u0661 " + _GOOD[2].split(" ", 1)[1]]).encode(),
+                           ParseError, [("line", 3)]),
+    "no-break space": ("\n".join([_GOOD[0].replace(" ", "\xa0", 1)] + _GOOD[1:]).encode(),
+                       ParseError, [("line", 1)]),
 }
 
 
@@ -163,28 +175,33 @@ def test_malformed_files_keep_their_typed_errors(name, tmp_path):
 
 
 def test_whole_file_conversion_never_accepts_what_the_per_line_path_rejects():
+    # every file is either converted, bit-equal to float() on each token, or
+    # refused with a typed error naming its line or frame
     tokens = ["1", "-2.5", "3e-2", ".5", "+7.", "nan", "-inf", "1e999", "-0", "", "1_0",
               "\u0661", "0x1", "#", "1.0\x00", "x", "1,5", "inf_"]
     separators = [" ", "\t", "   ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
                   "\u3000", "\ufeff", "\x00", ","]
+    # non-ASCII separators refuse a file, so half the files use ASCII ones only
+    ascii_separators = [sep for sep in separators if sep.isascii()]
     rng = np.random.default_rng(43)
     taken = 0
-    for _ in range(2000):
+    for i in range(2000):
+        gap_choices = separators if i % 2 else ascii_separators
         lines = []
         for _ in range(rng.integers(0, 3)):
             count = rng.choice([0, 2, 3, 3, 3, 4])
             parts = [str(rng.choice(tokens)) for _ in range(count)]
-            gaps = [str(rng.choice(separators)) for _ in range(count + 1)]
+            gaps = [str(rng.choice(gap_choices)) for _ in range(count + 1)]
             lines.append(gaps[0] + "".join(p + g for p, g in zip(parts, gaps[1:])))
         fast = _convert_whole(lines, 3)
-        try:
-            slow = _convert_by_line("f", lines, 3)
-        except (ParseError, WrongJointCount):
-            assert fast is None, lines
+        if fast is None:
+            error = _first_error("f", lines, 3)
+            assert isinstance(error, (ParseError, WrongJointCount)), lines
+            if isinstance(error, ParseError):
+                assert 0 <= error.line <= len(lines), lines
             continue
-        if fast is not None:
-            taken += 1
-            assert fast.tobytes() == slow.tobytes(), lines
+        taken += 1
+        assert fast.tobytes() == per_line_values(lines, 3).tobytes(), lines
     assert taken > 10
 
 

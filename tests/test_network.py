@@ -13,6 +13,7 @@ from gestrec.network import (
     EmptyDataset,
     InvalidMask,
     LabelOutOfRange,
+    NetworkError,
     Sample,
     ShapeMismatch,
     TrainConfig,
@@ -20,11 +21,10 @@ from gestrec.network import (
     adam_step,
     backward,
     cross_entropy,
+    evaluate,
     forward,
     init_model,
     load_checkpoint,
-    lstm_backward,
-    lstm_forward,
     predict,
     save_checkpoint,
     train,
@@ -51,15 +51,47 @@ def batch_for(model, rng, batch=3, t_len=6, lengths=None):
 
 
 # ---------------------------------------------------------------- LSTM core
+#
+# The layer functions run on the packed rows `forward` builds; these helpers
+# go between them and padded (B, T, ...) arrays, every direction in forward
+# time order.
+
+def layer_model(d, h, bidirectional=True, rng=None):
+    """A one-branch model whose `b.l1` layer the tests drive directly, with
+    N(0, 0.7) layer parameters if `rng` is given."""
+    model = init_model(("b",), {"b": d}, classes=2, hidden=h, fc_out=2, head=(),
+                       dropout=0.0, bidirectional=bidirectional)
+    if rng is not None:
+        for key in model.params:
+            if key.startswith("b.l1."):
+                model.params[key] = rng.normal(0, 0.7, model.params[key].shape)
+    return model
+
+
+def run_layer(model, x, lengths):
+    """Layer `b.l1` on a padded (B, T, d) input; returns (pack, hidden, cache)."""
+    pack = network._pack(np.arange(x.shape[1]) < np.array(lengths)[:, None])
+    hidden, cache = network._bilstm_forward(model, "b.l1", network._packed(x, pack), pack,
+                                            keep=True)
+    return pack, hidden, cache
+
+
+def to_padded(packed, pack, shape):
+    """Packed (N, dirs, ...) rows, each direction in its own time order, as a
+    zero-padded (B, T, dirs, ...) array in forward time order."""
+    rows = network._flip_reverse(packed, pack)
+    out = np.zeros((shape[0] * shape[1],) + rows.shape[1:])
+    out[pack.gather] = rows
+    return out.reshape(shape + rows.shape[1:])
+
 
 def test_zero_parameter_lstm_outputs_zero():
     rng = np.random.default_rng(0)
-    w = np.zeros((8, 3))
-    u = np.zeros((8, 2))
-    b = np.zeros(8)
-    x = rng.normal(size=(2, 5, 3))
-    mask = np.ones((2, 5), dtype=bool)
-    hidden, _ = lstm_forward(w, u, b, x, mask)
+    model = layer_model(3, 2)
+    for key in model.params:
+        model.params[key][:] = 0.0
+    _, hidden, _ = run_layer(model, rng.normal(size=(2, 5, 3)), [5, 3])
+    assert hidden.shape == (8, 2, 2)
     np.testing.assert_array_equal(hidden, 0.0)
 
 
@@ -73,36 +105,47 @@ def test_scalar_lstm_matches_hand_computation():
     def sigmoid(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    h_prev = c_prev = 0.0
-    state_track = []
-    for x in xs:  # oracle: explicit scalar recurrence
-        gi = sigmoid(w[0, 0] * x + u[0, 0] * h_prev + b[0])
-        gf = sigmoid(w[1, 0] * x + u[1, 0] * h_prev + b[1])
-        gg = math.tanh(w[2, 0] * x + u[2, 0] * h_prev + b[2])
-        go = sigmoid(w[3, 0] * x + u[3, 0] * h_prev + b[3])
-        c_prev = gf * c_prev + gi * gg
-        h_prev = go * math.tanh(c_prev)
-        state_track.append(h_prev)
+    def oracle(seq):  # explicit scalar recurrence
+        h_prev = c_prev = 0.0
+        state_track = []
+        for x in seq:
+            gi = sigmoid(w[0, 0] * x + u[0, 0] * h_prev + b[0])
+            gf = sigmoid(w[1, 0] * x + u[1, 0] * h_prev + b[1])
+            gg = math.tanh(w[2, 0] * x + u[2, 0] * h_prev + b[2])
+            go = sigmoid(w[3, 0] * x + u[3, 0] * h_prev + b[3])
+            c_prev = gf * c_prev + gi * gg
+            h_prev = go * math.tanh(c_prev)
+            state_track.append(h_prev)
+        return state_track
 
-    inputs = np.array(xs).reshape(1, 2, 1)
-    hidden, _ = lstm_forward(w, u, b, inputs, np.ones((1, 2), dtype=bool))
-    np.testing.assert_allclose(hidden[0, :, 0], state_track, atol=1e-14)
+    model = layer_model(1, 1)
+    for direction in model.directions:
+        for name, value in (("W", w), ("U", u), ("b", b)):
+            model.params[f"b.l1.{direction}.{name}"] = value
+    pack, hidden, _ = run_layer(model, np.array(xs).reshape(1, 2, 1), [2])
+    padded = to_padded(hidden, pack, (1, 2))
+    np.testing.assert_allclose(padded[0, :, 0, 0], oracle(xs), atol=1e-14)
+    # the reverse direction at step t has read x_last..x_t
+    np.testing.assert_allclose(padded[0, :, 1, 0], oracle(xs[::-1])[::-1], atol=1e-14)
 
 
-def test_masked_tail_copies_last_valid_state():
+def test_padded_steps_are_not_computed():
     rng = np.random.default_rng(1)
-    w = rng.normal(size=(8, 3))
-    u = rng.normal(size=(8, 2))
-    b = rng.normal(size=8)
+    model = layer_model(3, 2, rng=rng)
     x = rng.normal(size=(1, 7, 3))
-    mask = np.zeros((1, 7), dtype=bool)
-    mask[0, :4] = True
-    fwd, _ = lstm_forward(w, u, b, x, mask)
-    for t in range(4, 7):
-        np.testing.assert_array_equal(fwd[0, t], fwd[0, 3])
-    bwd, _ = lstm_forward(w, u, b, x, mask, reverse=True)
-    np.testing.assert_array_equal(bwd[0, 4:], 0.0)
-    assert np.any(bwd[0, 3] != 0.0)
+    pack, hidden, _ = run_layer(model, x, [4])
+    x[0, 4:] = np.nan  # padded steps are never read
+    _, hidden_nan, _ = run_layer(model, x, [4])
+    assert hidden.shape == (4, 2, 2) and [rows for _, rows in pack.steps] == [1, 1, 1, 1]
+    np.testing.assert_array_equal(hidden_nan, hidden)
+    _, alone, _ = run_layer(model, x[:, :4], [4])
+    np.testing.assert_array_equal(hidden, alone)
+    # both directions' summaries sit on the sample's last row: forward at
+    # step 3, reverse at step 0 after reading x_3..x_0
+    padded = to_padded(hidden, pack, (1, 7))
+    np.testing.assert_array_equal(hidden[pack.last[0], 0], padded[0, 3, 0])
+    np.testing.assert_array_equal(hidden[pack.last[0], 1], padded[0, 0, 1])
+    np.testing.assert_array_equal(padded[0, 4:], 0.0)
 
 
 def _oracle_sigmoid(z):
@@ -110,8 +153,9 @@ def _oracle_sigmoid(z):
 
 
 def _oracle_lstm_forward(w, u, b, x, mask, reverse=False):
-    """The per-step kernel the hoisted one replaced: every GEMM and every gate
-    activation inside the time loop."""
+    """One direction over a padded batch, the per-step kernel the packed
+    layer replaced: every GEMM and every gate activation inside the time
+    loop, and masked steps copying the previous state."""
     bsz, t_len, _ = x.shape
     h = u.shape[1]
     hidden = np.zeros((bsz, t_len, h))
@@ -172,28 +216,41 @@ def _oracle_lstm_backward(w, u, x, mask, hidden, cell, gates, reverse, d_hidden)
     return dw, du, db, dx
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("lengths", [[5], [7, 4, 1, 6]])
-def test_lstm_matches_per_step_oracle(lengths, reverse):
+def test_lstm_matches_per_step_oracle(lengths, bidirectional):
     rng = np.random.default_rng(40 + len(lengths))
     d, h, t_len = 5, 3, 7
-    w = rng.normal(0, 0.7, (4 * h, d))
-    u = rng.normal(0, 0.7, (4 * h, h))
-    b = rng.normal(0, 0.7, 4 * h)
+    model = layer_model(d, h, bidirectional, rng)
     x = rng.normal(size=(len(lengths), t_len, d))
     mask = np.arange(t_len) < np.array(lengths)[:, None]
-    d_hidden = rng.normal(size=(len(lengths), t_len, h))
+    dirs = len(model.directions)
+    # padded steps have no hidden state, so nothing flows back from them
+    d_hidden = rng.normal(size=(len(lengths), t_len, dirs, h)) * mask[:, :, None, None]
 
-    hidden, cache = lstm_forward(w, u, b, x, mask, reverse=reverse)
-    dw, du, db, dz = lstm_backward(cache, d_hidden)
-    grads = (dw, du, db, dz @ w)
-    want_hidden, want_gates, want_cell = _oracle_lstm_forward(w, u, b, x, mask, reverse)
-    want_grads = _oracle_lstm_backward(w, u, x, mask, want_hidden, want_cell, want_gates,
-                                       reverse, d_hidden)
-    got = {"hidden": hidden, "gates": cache["gates"], "cell": cache["cell"],
-           **dict(zip(("dW", "dU", "db", "dX"), grads))}
-    want = {"hidden": want_hidden, "gates": want_gates, "cell": want_cell,
-            **dict(zip(("dW", "dU", "db", "dX"), want_grads))}
+    pack, hidden, cache = run_layer(model, x, lengths)
+    _, _, cell, gates = cache[1:]
+    d_packed = network._flip_reverse(network._packed(d_hidden.reshape(len(lengths), t_len, -1),
+                                                     pack).reshape(-1, dirs, h), pack)
+    grads = {}
+    dx = network._bilstm_backward(model, cache, pack, d_packed, grads, input_grad=True)
+    got = {key: to_padded(value, pack, mask.shape)
+           for key, value in (("hidden", hidden), ("gates", gates), ("cell", cell))}
+    got["dX"] = to_padded(dx[:, None], pack, mask.shape)[:, :, 0]
+    want = {"dX": np.zeros_like(x)}
+    for k, direction in enumerate(model.directions):
+        p = f"b.l1.{direction}"
+        w, u, b = (model.params[f"{p}.{name}"] for name in "WUb")
+        reverse = direction == "bwd"
+        o_hidden, o_gates, o_cell = _oracle_lstm_forward(w, u, b, x, mask, reverse)
+        o_dw, o_du, o_db, o_dx = _oracle_lstm_backward(w, u, x, mask, o_hidden, o_cell, o_gates,
+                                                       reverse, d_hidden[:, :, k])
+        for key, value in (("hidden", o_hidden), ("gates", o_gates), ("cell", o_cell)):
+            want.setdefault(key, np.zeros_like(got[key]))[:, :, k] = value * mask[:, :, None]
+        for key, value in (("W", o_dw), ("U", o_du), ("b", o_db)):
+            got[f"{p}.{key}"], want[f"{p}.{key}"] = grads[f"{p}.{key}"], value
+        want["dX"] += o_dx
+    assert sorted(got) == sorted(want)
     for key in want:
         assert got[key].shape == want[key].shape, key
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
@@ -202,17 +259,16 @@ def test_lstm_matches_per_step_oracle(lengths, reverse):
 @pytest.mark.parametrize("magnitude", [800.0, 1e6])
 def test_saturated_lstm_stays_finite(magnitude):
     h = 2
-    w = np.ones((4 * h, 1))
-    u = np.ones((4 * h, h))
+    model = layer_model(1, h)
+    for key, arr in model.params.items():
+        arr[:] = 0.0 if key.endswith(".b") else 1.0
     x = magnitude * np.array([1.0, -1.0, -1.0, 1.0, 1.0])[None, :, None]
-    mask = np.ones((1, 5), dtype=bool)
     with np.errstate(over="raise", invalid="raise"):
-        for reverse in (False, True):
-            hidden, cache = lstm_forward(w, u, np.zeros(4 * h), x, mask, reverse=reverse)
-            sigmoid_gates = np.delete(cache["gates"], np.s_[2 * h:3 * h], axis=2)
-            assert np.all(np.isfinite(hidden)) and np.all(np.abs(hidden) <= 1.0)
-            assert np.all((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0))
-            assert np.all(np.abs(cache["gates"][..., 2 * h:3 * h]) <= 1.0)
+        _, hidden, (_, _, _, _, gates) = run_layer(model, x, [5])
+    sigmoid_gates = np.delete(gates, np.s_[2 * h:3 * h], axis=2)
+    assert np.all(np.isfinite(hidden)) and np.all(np.abs(hidden) <= 1.0)
+    assert np.all((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0))
+    assert np.all(np.abs(gates[..., 2 * h:3 * h]) <= 1.0)
 
 
 # ------------------------------------------------------------------ forward
@@ -275,6 +331,69 @@ def test_forward_shape_and_mask_errors():
     empty[1] = False
     with pytest.raises(InvalidMask):
         forward(model, streams, empty)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8, np.uint16, np.int64])
+def test_mask_dtype_is_bool_or_zero_one_integers(dtype):
+    model = small_model(seed=11)
+    streams, mask = batch_for(model, np.random.default_rng(12), lengths=[6, 2, 4])
+    if np.issubdtype(dtype, np.integer):
+        np.testing.assert_array_equal(forward(model, streams, mask.astype(dtype))[0],
+                                      forward(model, streams, mask)[0])
+        bad = mask.astype(dtype)
+        bad[0, 0] = 2
+    else:
+        bad = mask.astype(dtype)
+    with pytest.raises(InvalidMask, match=np.dtype(dtype).name):
+        forward(model, streams, bad)
+
+
+def test_evaluate_rejects_batch_size_below_one():
+    model = small_model(seed=11)
+    samples = make_samples(model, np.random.default_rng(12), count=2)
+    with pytest.raises(NetworkError, match="batch_size"):
+        evaluate(model, samples, batch_size=0)
+
+
+def test_batch_composition_leaves_each_sample_unchanged():
+    # packing sorts samples by length and runs each step over the samples
+    # still running; results come back in batch order, bit-identical
+    # wherever a sample sits among two or more. Alone, BLAS multiplies one
+    # row with its matrix-vector kernel, which rounds differently.
+    dims = {"global": 5, "finger": 7, "skeleton": 6}
+    model = init_model(tuple(dims), dims, classes=4, hidden=16, fc_out=4, head=(6,), seed=44)
+    rng = np.random.default_rng(45)
+    lengths = [7, 4, 4, 1, 6]
+    samples = [{name: rng.normal(size=(t, dim)) for name, dim in model.input_dims.items()}
+               for t in lengths]
+
+    def probs_of(order):
+        chunk = [Sample(samples[i], 0) for i in order]
+        return dict(zip(order, evaluate(model, chunk)[1]))
+
+    reference = probs_of(list(range(5)))
+    for order in ([4, 3, 2, 1, 0], [1, 0], [3, 2], [2, 4, 1], [3, 1, 0, 2, 4, 1]):
+        for i, probs in probs_of(order).items():
+            assert probs.tobytes() == reference[i].tobytes(), (order, i)
+    for i in range(5):
+        np.testing.assert_allclose(probs_of([i])[i], reference[i], rtol=1e-12, atol=0)
+
+    # the same at the layer's hidden states, where a step's rounding shows
+    layer = layer_model(5, 16, rng=rng)
+    xs = [rng.normal(size=(t, 5)) for t in lengths]
+
+    def hidden_of(order):
+        x = np.zeros((len(order), max(lengths[i] for i in order), 5))
+        for row, i in enumerate(order):
+            x[row, :lengths[i]] = xs[i]
+        pack, hidden, _ = run_layer(layer, x, [lengths[i] for i in order])
+        padded = to_padded(hidden, pack, x.shape[:2])
+        return {i: padded[row, :lengths[i]] for row, i in enumerate(order)}
+
+    reference = hidden_of(list(range(5)))
+    for order in ([4, 3, 2, 1, 0], [1, 0], [3, 2], [2, 4, 1], [3, 1, 0, 2, 4]):
+        for i, hidden in hidden_of(order).items():
+            assert hidden.tobytes() == reference[i].tobytes(), (order, i)
 
 
 def test_dropout_masks_follow_the_documented_draw_order():
@@ -380,6 +499,17 @@ def test_gradients_match_finite_differences(bidirectional, dropout):
     model = random_tiny_model(rng, bidirectional=bidirectional, dropout=dropout)
     streams, mask, labels = random_batch(model, rng, batch=2, t_len=4)
     err = max_relative_error(model, streams, mask, labels, np.random.default_rng(14))
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_gradients_match_finite_differences_on_ragged_lengths(bidirectional):
+    # a tie (4, 4) and a length-1 sample exercise the packing's row counts
+    rng = np.random.default_rng(46)
+    model = random_tiny_model(rng, bidirectional=bidirectional, dropout=0.3)
+    streams, mask = batch_for(model, rng, batch=5, t_len=7, lengths=[7, 4, 4, 1, 6])
+    labels = rng.integers(0, model.classes, 5)
+    err = max_relative_error(model, streams, mask, labels, np.random.default_rng(47))
     assert err < 1e-4
 
 
