@@ -51,23 +51,14 @@ class PipelineConfig:
                 raise ConfigError(f"unknown branch: {name}")
         if not self.branches:
             raise ConfigError("at least one branch required")
-        for name in ("lstm_hidden", "fc_out", "batch_size", "epochs"):
+        for name in ("lstm_hidden", "fc_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive: {getattr(self, name)}")
         if any(width < 1 for width in self.head):
             raise ConfigError(f"head widths must be positive: {self.head}")
         if any(lag < 1 for lag in self.lags):
             raise ConfigError(f"lags must be positive: {self.lags}")
-        for name in ("learning_rate", "epsilon", "clip_norm"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative: {getattr(self, name)}")
-        if self.epsilon == 0:
-            raise ConfigError("epsilon must be positive: 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1): {getattr(self, name)}")
-        if not 0.0 <= self.stop_accuracy <= 1.0:
-            raise ConfigError(f"stop_accuracy must be in [0, 1]: {self.stop_accuracy}")
+        check_optimization(self, ConfigError)
 
     @property
     def global_dim(self) -> int:
@@ -76,6 +67,24 @@ class PipelineConfig:
     @property
     def finger_dim(self) -> int:
         return 40 + 20 * len(self.lags)
+
+
+def check_optimization(config, error: type[GestrecError]) -> None:
+    """Raise `error` unless the optimization fields of `config`, a
+    `PipelineConfig` or a `network.TrainConfig`, are usable."""
+    for name in ("batch_size", "epochs"):
+        if getattr(config, name) < 1:
+            raise error(f"{name} must be positive: {getattr(config, name)}")
+    for name in ("learning_rate", "epsilon", "clip_norm"):
+        if not (math.isfinite(getattr(config, name)) and getattr(config, name) >= 0):
+            raise error(f"{name} must be finite and non-negative: {getattr(config, name)}")
+    if config.epsilon == 0:
+        raise error("epsilon must be positive: 0")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= getattr(config, name) < 1.0:
+            raise error(f"{name} must be in [0, 1): {getattr(config, name)}")
+    if not 0.0 <= config.stop_accuracy <= 1.0:
+        raise error(f"stop_accuracy must be in [0, 1]: {config.stop_accuracy}")
 
 
 _INT_TUPLES = {"lags", "head", "fine_gestures"}

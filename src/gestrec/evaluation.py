@@ -235,6 +235,7 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
                                        seed + split.held_out_subject)
 
         preds0, _ = evaluate(model, test_samples)
+        del model  # the next split's model is built without this one alive
         preds = preds0 + 1
         labels = np.array([labels0[i] for i in test_idx]) + 1
         confusion += confusion_matrix(preds, labels, classes)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
+from .config import check_optimization
 from .dataset import EmptyDataset
 from .errors import GestrecError
 
@@ -55,6 +56,9 @@ class TrainConfig:
     clip_norm: float = 5.0      # 0 disables clipping
     stop_accuracy: float = 0.0  # 0 disables early stopping
     record_accuracy: bool = False  # measure train accuracy even without early stopping
+
+    def __post_init__(self):
+        check_optimization(self, NetworkError)
 
 
 @dataclass
@@ -239,14 +243,11 @@ def _bilstm_forward(model, prefix, x, pack, keep):
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     gates = np.empty((len(x), len(prefixes), 4 * h))
     for k, p in enumerate(prefixes):
-        # every step's input projection in one GEMM; the loop adds only h_prev @ U
-        g = np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
-                      out=gates[:, k])
-        g += model.params[f"{p}.b"]
-        g *= scale
-    # (dirs, h, 4h): each direction's U.T * scale
-    u_scaled = np.stack([model.params[f"{p}.U"] * scale[:, None] for p in prefixes]
-                        ).transpose(0, 2, 1)
+        # every step's input projection in one GEMM; the loop adds only h_prev @ U.T
+        np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
+                  out=gates[:, k])
+    gates += np.stack([model.params[f"{p}.b"] for p in prefixes])
+    u_t = [model.params[f"{p}.U"].T for p in prefixes]
     # OpenBLAS rounds a one-row product, and at some sizes a two- or
     # three-row one, through other kernels than a larger product. A padded
     # batch multiplies all B rows at every step, so each step here
@@ -261,8 +262,10 @@ def _bilstm_forward(model, prefix, x, pack, keep):
     for start, rows in pack.steps:
         g = gates[start:start + rows]
         m = max(rows, min_rows)
-        np.matmul(h_prev[:m].transpose(1, 0, 2), u_scaled, out=product[:, :m])
+        for k, u in enumerate(u_t):
+            np.matmul(h_prev[:m, k], u, out=product[k, :m])
         g += product[:, :rows].transpose(1, 0, 2)
+        g *= scale  # exact: the scales are powers of two
         np.tanh(g, out=g)
         g *= scale
         g += shift
@@ -309,7 +312,7 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
     dc_dh *= go
 
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
-    u = np.stack([model.params[f"{p}.U"] for p in prefixes])  # (dirs, 4h, h)
+    us = [model.params[f"{p}.U"] for p in prefixes]
     dz4 = dz.reshape(len(dz), len(prefixes), 4, h)
     dh_carry = np.empty((len(prefixes), first, h))
     dc_carry = hidden[:0]  # nothing flows into the last step
@@ -321,7 +324,8 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
         dc[:len(dc_carry)] += dc_carry
         dz4[block, :, :3] *= dc[:, :, None]
         dz4[block, :, 3] *= dh
-        np.matmul(dz[block].transpose(1, 0, 2), u, out=dh_carry[:, :rows])
+        for k, u in enumerate(us):
+            np.matmul(dz[block, k], u, out=dh_carry[k, :rows])
         dc *= gf[block]
         dc_carry = dc
 
@@ -438,7 +442,12 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the mean cross-entropy for every parameter, in
-    `model.params` order."""
+    `model.params` order.
+
+    Consumes the train-mode cache: each branch's layer activations leave
+    `cache["branches"]` as its gradients are formed, and layer 2's are freed
+    before layer 1's BPTT runs. `mask`, `pack`, `dropout` and `probs` stay.
+    """
     labels = np.asarray(labels)
     probs = cache["probs"]
     bsz, classes = probs.shape
@@ -460,18 +469,21 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     # softmax jacobian: dz = p * (dldp - sum_j dldp_j p_j)
     inner = (dldp * probs).sum(axis=1, keepdims=True)
     grads = {}
-    da = _dense_backward(model, cache["head"], probs * (dldp - inner), undrop, grads)
+    da = _dense_backward(model, cache.pop("head"), probs * (dldp - inner), undrop, grads)
     for i, name in enumerate(model.branches):
-        l1, l2, fc = cache["branches"][name]
+        l1, l2, fc = cache["branches"].pop(name)
         d_fc = da[:, i * model.fc_out:(i + 1) * model.fc_out]
         d_summary = undrop(_dense_backward(model, fc, d_fc, undrop, grads), f"{name}.summary")
         d_h2 = np.zeros_like(l2[2])  # shaped like layer 2's hidden states
         d_h2[pack.last] = d_summary.reshape(bsz, -1, model.hidden)
         d_x = _bilstm_backward(model, l2, pack, d_h2, grads, input_grad=True)
+        del l2, d_h2  # layer 2's activations go before layer 1's BPTT starts
         if masks is not None:
             d_x *= _packed(masks[f"{name}.l1"], pack)
         d_h1 = _flip_reverse(d_x.reshape(len(d_x), -1, model.hidden), pack)
+        del d_x
         _bilstm_backward(model, l1, pack, d_h1, grads, input_grad=False)
+        del l1, d_h1
     return {key: grads[key] for key in model.params}
 
 
@@ -488,18 +500,32 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update of `params`, `state.m` and
+    `state.v` in place, with two scratch arrays per parameter. The operation
+    order is that of
+        m = b1 m + (1 - b1) g        v = b2 v + ((1 - b2) g) g
+        p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+    so the result is bit-identical to evaluating those expressions."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
     for key, p in params.items():
-        g = grads[key]
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / correction1
-        v_hat = state.v[key] / correction2
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= b1
+        scratch = np.multiply(g, 1.0 - b1)
+        m += scratch
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v += scratch
+        denom = np.divide(v, correction2, out=scratch)
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        step = np.divide(m, correction1)
+        step *= config.learning_rate
+        step /= denom
+        p -= step
     return params, state
 
 
@@ -617,6 +643,8 @@ def train(model: NetworkModel, samples: list[Sample],
             grads = backward(model, cache, labels)
             norms.append(clip_gradients(grads, config.clip_norm))
             adam_step(model.params, grads, state, config)
+            # the next step's forward starts with no activations of this one alive
+            del streams, probs, cache, grads
         accuracy = None
         if measure_accuracy:
             preds, _ = evaluate(model, samples)
@@ -667,7 +695,8 @@ def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> NetworkModel:
     """Rebuild the header's architecture with `init_model` and fill its arrays
     from the payload; the header's manifest and the payload size must match
-    that architecture exactly."""
+    that architecture exactly, every value must be finite and every
+    normalization `std` positive."""
     header, payload = container.read(path, CHECKPOINT_MAGIC, CheckpointError)
     dropout = header.get("dropout")
     if type(header.get("bidirectional")) is not bool \
@@ -686,7 +715,11 @@ def load_checkpoint(path: str | Path) -> NetworkModel:
         raise CheckpointError(f"{path}: array manifest or payload size does not match "
                               f"the architecture in the header")
     offset = 0
-    for _, arr in arrays:
+    for name, arr in arrays:
         arr[...] = payload[offset:offset + arr.size].reshape(arr.shape)
         offset += arr.size
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name} holds a non-finite value")
+        if name.endswith("/std") and not (arr > 0).all():
+            raise CheckpointError(f"{path}: array {name} holds a non-positive value")
     return model

@@ -491,6 +491,40 @@ def test_adam_two_steps_match_scalar_oracle():
     assert params["w"][0] == pytest.approx(theta, abs=1e-15)
 
 
+def _adam_reference(params, grads, state, config):
+    """The expression form of one Adam step, allocating fresh arrays."""
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for key, p in params.items():
+        g = grads[key]
+        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
+        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
+        p -= config.learning_rate * (state.m[key] / c1) / (np.sqrt(state.v[key] / c2)
+                                                           + config.epsilon)
+
+
+def test_adam_in_place_matches_expression_bytes():
+    rng = np.random.default_rng(44)
+    config = TrainConfig(learning_rate=0.003, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    params = {"w": rng.normal(size=(7, 5)), "b": rng.normal(size=3)}
+    want = {k: v.copy() for k, v in params.items()}
+    state, want_state = adam_init(params), adam_init(want)
+    arrays = [state.m[k] for k in params] + [state.v[k] for k in params]
+    for _ in range(6):
+        grads = {k: rng.normal(size=v.shape) * rng.choice([1e-9, 1.0, 1e3])
+                 for k, v in params.items()}
+        adam_step(params, grads, state, config)
+        _adam_reference(want, grads, want_state, config)
+        for key in params:
+            assert params[key].tobytes() == want[key].tobytes(), key
+            assert state.m[key].tobytes() == want_state.m[key].tobytes(), key
+            assert state.v[key].tobytes() == want_state.v[key].tobytes(), key
+    assert state.t == want_state.t == 6
+    assert all(a is b for a, b in zip(arrays, [state.m[k] for k in params]
+                                      + [state.v[k] for k in params]))
+
+
 # ---------------------------------------------------------------- gradients
 
 @pytest.mark.parametrize("bidirectional,dropout", [(True, 0.3), (False, 0.3), (True, 0.0)])
@@ -618,6 +652,50 @@ def test_zero_learning_rate_keeps_parameters():
     train(model, samples, TrainConfig(learning_rate=0.0, epochs=2, batch_size=4, rng_seed=3))
     for key, arr in model.params.items():
         np.testing.assert_array_equal(arr, before[key])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -1), ("epochs", 0),
+    ("learning_rate", float("nan")), ("learning_rate", -0.1),
+    ("clip_norm", float("inf")), ("clip_norm", -1.0),
+    ("epsilon", 0.0), ("epsilon", float("nan")),
+    ("beta1", 1.0), ("beta2", -0.1), ("beta2", float("nan")),
+    ("stop_accuracy", 1.5), ("stop_accuracy", -0.1)])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(NetworkError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_holds_one_step_of_activations():
+    # long sequences on a small model, so activations dominate the
+    # parameters, gradients and Adam state
+    dims = {"global": 4, "finger": 6, "skeleton": 5}
+    model = init_model(tuple(dims), dims, classes=3, hidden=8, fc_out=4, head=(6,),
+                       dropout=0.2, seed=45)
+    samples = make_samples(model, np.random.default_rng(46), count=48, t_len=120)
+    tracemalloc.start()
+    streams, mask = network.pad_batch(model, samples[:16])
+    _, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(0))
+    backward(model, cache, np.array([s.label for s in samples[:16]]))
+    one_step = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    del streams, mask, cache
+    tracemalloc.start()
+    train(model, samples, TrainConfig(epochs=1, batch_size=16, rng_seed=47))
+    whole = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert whole <= 1.3 * one_step, (whole, one_step)
+
+
+def test_backward_consumes_the_layer_cache():
+    model = small_model(dropout=0.3, seed=48)
+    streams, mask = batch_for(model, np.random.default_rng(49), lengths=[6, 3, 5])
+    _, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(50))
+    assert set(cache["branches"]) == set(model.branches)
+    backward(model, cache, np.array([0, 1, 2]))
+    assert cache["branches"] == {}
+    assert cache["mask"].shape == mask.shape and cache["pack"] is not None
+    assert set(cache["dropout"]) >= {f"{name}.l1" for name in model.branches}
 
 
 def test_train_empty_dataset():
@@ -761,6 +839,21 @@ def test_malformed_checkpoint_raises_checkpoint_error(case, tmp_path):
     magic, header, rest = path.read_bytes().split(b"\n", 2)
     path.write_bytes(b"\n".join(CORRUPT_CHECKPOINTS[case](magic, json.loads(header), rest)))
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("array,value", [("params/head.out.b", float("nan")),
+                                         ("params/global.l1.fwd.U", float("inf")),
+                                         ("norm/finger/std", 0.0),
+                                         ("norm/finger/std", -1.0)])
+def test_checkpoint_with_a_bad_value_is_refused(array, value, tmp_path):
+    model = small_model(seed=51)
+    kind, *key = array.split("/")
+    arr = model.params[key[0]] if kind == "params" else model.norm[key[0]][key[1]]
+    arr[-1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: array {array} ")):
         load_checkpoint(path)
 
 
