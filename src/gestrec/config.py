@@ -42,6 +42,10 @@ class PipelineConfig:
     fine_gestures: tuple[int, ...] = (1, 3, 4, 5, 6)
 
     def __post_init__(self):
+        if self.dad_bins < 1:
+            raise ConfigError(f"dad_bins must be positive: {self.dad_bins}")
+        if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0):
+            raise ConfigError(f"sigma_scale must be finite and positive: {self.sigma_scale}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
         if self.euler_convention not in ("xyz", "zyx"):

@@ -42,7 +42,7 @@ class DadConfig:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        if self.bins < 1 or self.sigma <= 0:
+        if self.bins < 1 or not (np.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidConfig(f"bins={self.bins}, sigma={self.sigma}")
         edges = np.asarray(self.thresholds, dtype=np.float64)
         if edges.shape != (self.bins,):
@@ -60,7 +60,7 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     closed form eta_i = sigma * sqrt(2) * erfinv((i/M) * erf(1/sqrt(2))).
     The last edge is sigma exactly.
     """
-    if bins < 1 or sigma <= 0:
+    if bins < 1 or not (np.isfinite(sigma) and sigma > 0):
         raise InvalidConfig(f"bins={bins}, sigma={sigma}")
     edges = np.empty(bins)
     edges[:-1] = sigma * np.sqrt(2.0) * erfinv(np.arange(1, bins) / bins * erf(np.sqrt(0.5)))

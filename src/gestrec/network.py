@@ -9,6 +9,7 @@ run is deterministic given its seed on a single thread.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -223,7 +224,20 @@ def _flip_reverse(a, pack):
     return np.concatenate([a[:, :1], a[pack.flip, 1:]], axis=1)
 
 
-def _bilstm_forward(model, prefix, x, pack, keep):
+def _buffer(buffers, key, shape, fresh=np.empty):
+    """A `shape` view of `buffers[key]`, which grows to the largest size
+    asked for and keeps the values of its last use; `fresh(shape)` if
+    `buffers` is None."""
+    if buffers is None:
+        return fresh(shape)
+    size = math.prod(shape)
+    flat = buffers.get(key)
+    if flat is None or flat.size < size:
+        flat = buffers[key] = np.zeros(size)
+    return flat[:size].reshape(shape)
+
+
+def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     """Every direction of one LSTM layer in one time loop over packed rows.
 
     `x` (N, d) is the layer input in forward time order. The reverse
@@ -232,7 +246,8 @@ def _bilstm_forward(model, prefix, x, pack, keep):
     rows and end on each sample's last row. Returns the hidden states
     (N, dirs, h), each direction in its own time order, and, if `keep`, the
     cache `_bilstm_backward` reads; the cached `gates` hold the (i, f, g, o)
-    activations.
+    activations. With `buffers`, the gates, hidden and cell states are views
+    of the layer's arrays there, overwritten by the next call.
     """
     h = model.hidden
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
@@ -241,7 +256,8 @@ def _bilstm_forward(model, prefix, x, pack, keep):
     scale[2 * h:3 * h] = 1.0
     shift = 1.0 - scale
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
-    gates = np.empty((len(x), len(prefixes), 4 * h))
+    n, dirs = len(x), len(prefixes)
+    gates = _buffer(buffers, f"{prefix}.gates", (n, dirs, 4 * h))
     for k, p in enumerate(prefixes):
         # every step's input projection in one GEMM; the loop adds only h_prev @ U.T
         np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
@@ -255,10 +271,11 @@ def _bilstm_forward(model, prefix, x, pack, keep):
     # finished rows: a sample's hidden states then do not depend on how
     # many others are still running.
     min_rows = min(len(pack.last), 4)
-    hidden = np.zeros((len(x) + min_rows - 1, len(prefixes), h))
-    cell = np.empty_like(hidden)
+    hidden = _buffer(buffers, f"{prefix}.hidden", (n + min_rows - 1, dirs, h), np.zeros)
+    hidden[n:] = 0.0
+    cell = _buffer(buffers, f"{prefix}.cell", (n, dirs, h))
     h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape)
-    product = np.empty((len(prefixes), len(h_prev), 4 * h))
+    product = np.empty((dirs, len(h_prev), 4 * h))
     for start, rows in pack.steps:
         g = gates[start:start + rows]
         m = max(rows, min_rows)
@@ -274,7 +291,7 @@ def _bilstm_forward(model, prefix, x, pack, keep):
         np.tanh(c, out=hidden[start:start + rows])
         hidden[start:start + rows] *= g[..., 3 * h:]
         h_prev, c_prev = hidden[start:], c
-    hidden, cell = hidden[:len(x)], cell[:len(x)]
+    hidden = hidden[:n]
     return hidden, ((prefix, x, hidden, cell, gates) if keep else None)
 
 
@@ -286,49 +303,54 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
     dz (N, dirs, 4h), the gradient at the gate pre-activations, is
         dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
         dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
-    Every factor but dc and dh is filled in for all rows up front; one time
-    loop, last step first, carries dh and dc back for every direction and
-    scales dz by them. dW, dU and db are then one GEMM or sum each over the
-    valid rows.
+    One time loop, last step first, carries dh and dc back for every
+    direction. Each step block's dz is formed from its gates and cell states
+    and the cell states of the step before, while they are in cache, and is
+    written over the cached gates. dW, dU and db are then one GEMM or sum
+    each over the valid rows.
     """
     prefix, x, hidden, cell, gates = layer
     h = model.hidden
-    first = pack.steps[0][1]  # the rows of step 0 start from the zero state
-    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
-    dz = 1.0 - gates
-    dz *= gates  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
-    dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
-    dz_i *= gg
-    dz_f[first:] *= cell[pack.prev]
-    dz_f[:first] = 0.0
-    np.multiply(gg, gg, out=dz_g)
-    np.subtract(1.0, dz_g, out=dz_g)
-    dz_g *= gi
-    tanh_c = np.tanh(cell)
-    dz_o *= tanh_c
-    # dc/dh through h = o * tanh(c), in tanh_c's buffer
-    dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= go
-
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
-    dz4 = dz.reshape(len(dz), len(prefixes), 4, h)
+    first = pack.steps[0][1]  # the rows of step 0 start from the zero state
     dh_carry = np.empty((len(prefixes), first, h))
     dc_carry = hidden[:0]  # nothing flows into the last step
-    for start, rows in reversed(pack.steps):
+    for t in range(len(pack.steps) - 1, -1, -1):
+        start, rows = pack.steps[t]
         block = slice(start, start + rows)
+        g = gates[block]
+        gi, gf, gg, go = (g[..., k * h:(k + 1) * h] for k in range(4))
         dh = d_hidden[block]
         dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
-        dc = dh * dc_dh[block]
+        tanh_c = np.tanh(cell[block])
+        # dc/dh through h = o * tanh(c)
+        dc = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, dc, out=dc)
+        dc *= go
+        dc *= dh
         dc[:len(dc_carry)] += dc_carry
-        dz4[block, :, :3] *= dc[:, :, None]
-        dz4[block, :, 3] *= dh
+        local = np.subtract(1.0, g)
+        local *= g  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
+        dz_i, dz_f, dz_g, dz_o = (local[..., k * h:(k + 1) * h] for k in range(4))
+        dz_i *= gg
+        if t:  # each step's rows are the first rows of the step before
+            prev_start = pack.steps[t - 1][0]
+            dz_f *= cell[prev_start:prev_start + rows]
+        else:
+            dz_f[...] = 0.0
+        np.multiply(gg, gg, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_g *= gi
+        dz_o *= tanh_c
+        dc_carry = dc * gf  # the last read of the gates: dz goes over them
+        np.multiply(local.reshape(rows, -1, 4, h)[:, :, :3], dc[:, :, None],
+                    out=g.reshape(rows, -1, 4, h)[:, :, :3])
+        np.multiply(dz_o, dh, out=go)
         for k, u in enumerate(us):
-            np.matmul(dz[block, k], u, out=dh_carry[k, :rows])
-        dc *= gf[block]
-        dc_carry = dc
+            np.matmul(g[:, k], u, out=dh_carry[k, :rows])
 
+    dz = gates
     d_x = None
     for k, p in enumerate(prefixes):
         reverse = p.endswith(".bwd")
@@ -370,7 +392,8 @@ def _dense_backward(model, layers, d_out, undrop, grads):
 
 def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarray,
             train_mode: bool = False, rng: np.random.Generator | None = None,
-            dropout_masks: dict[str, np.ndarray] | None = None):
+            dropout_masks: dict[str, np.ndarray] | None = None, *,
+            buffers: dict[str, np.ndarray] | None = None):
     """Class probabilities for a padded batch; returns (probs, cache).
 
     In train mode inverted dropout follows every LSTM and FC layer. Unless
@@ -380,6 +403,12 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     differences see the same network. Only a train-mode cache holds the
     layer activations `backward` needs; an inference cache keeps none, so
     each LSTM layer's gates and cell states are freed when it returns.
+
+    `buffers`, a dict `train` makes once per call, holds each LSTM layer's
+    gates, hidden and cell states across train-mode calls, so no step
+    allocates them again. Such a cache is valid only until the next forward
+    on the same buffers, and `backward` turns its gates into gate gradients.
+    An inference forward never touches `buffers`.
     """
     mask = _validate_batch(model, streams, mask)
     bsz, t_len = mask.shape
@@ -401,15 +430,16 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
 
     cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
              "branches": {}}
+    layer_buffers = buffers if train_mode else None
     branch_outputs = []
     for name in model.branches:
         stats = model.norm[name]
         x = (_packed(streams[name], pack) - stats["mean"]) / stats["std"]
-        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode)
+        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode, layer_buffers)
         x = _flip_reverse(h1, pack).reshape(len(h1), -1)
         if use_dropout:
             x *= _packed(drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)), pack)
-        h2, l2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode)
+        h2, l2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode, layer_buffers)
         # each direction's last row: forward at the last valid step, reverse at step 0
         summary = h2[pack.last].reshape(bsz, -1)
         branch_out, fc = _dense_forward(model, [f"{name}.fc"],
@@ -445,8 +475,10 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     `model.params` order.
 
     Consumes the train-mode cache: each branch's layer activations leave
-    `cache["branches"]` as its gradients are formed, and layer 2's are freed
-    before layer 1's BPTT runs. `mask`, `pack`, `dropout` and `probs` stay.
+    `cache["branches"]` as its gradients are formed, each LSTM layer's gates
+    are overwritten by their gradients, and layer 2's activations are
+    released before layer 1's BPTT runs (what `forward`'s `buffers` hold
+    stays there). `mask`, `pack`, `dropout` and `probs` stay.
     """
     labels = np.asarray(labels)
     probs = cache["probs"]
@@ -628,6 +660,7 @@ def train(model: NetworkModel, samples: list[Sample],
     rng = np.random.default_rng(config.rng_seed)
     state = adam_init(model.params)
     measure_accuracy = config.record_accuracy or config.stop_accuracy > 0
+    buffers = {}  # every step's LSTM activations, so no step faults in fresh memory
     log: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -638,12 +671,13 @@ def train(model: NetworkModel, samples: list[Sample],
             batch = [samples[i] for i in order[start:start + config.batch_size]]
             labels = np.array([s.label for s in batch])
             streams, mask = pad_batch(model, batch)
-            probs, cache = forward(model, streams, mask, train_mode=True, rng=rng)
+            probs, cache = forward(model, streams, mask, train_mode=True, rng=rng,
+                                   buffers=buffers)
             total_loss += cross_entropy(probs, labels) * len(batch)
             grads = backward(model, cache, labels)
             norms.append(clip_gradients(grads, config.clip_norm))
             adam_step(model.params, grads, state, config)
-            # the next step's forward starts with no activations of this one alive
+            # of this step, only what `buffers` holds is alive at the next step's forward
             del streams, probs, cache, grads
         accuracy = None
         if measure_accuracy:

@@ -238,6 +238,9 @@ MALFORMED = [
     ("extract", "config", b"lags = 1\xff\n"),
     ("synth", "scripts", b"[script a]\ngesture = \xff1\n"),
     ("train", "dims", 24),
+    ("extract", "config", "sigma_scale = nan\n"),
+    ("extract", "config", "sigma_scale = inf\n"),
+    ("extract", "config", "dad_bins = 0\n"),
 ]
 
 

@@ -68,3 +68,13 @@ def test_config_validation():
         PipelineConfig(branches=("global", "sonar"))
     with pytest.raises(ConfigError):
         PipelineConfig(branches=())
+
+
+@pytest.mark.parametrize("line", ["dad_bins = 0", "dad_bins = -2", "sigma_scale = nan",
+                                  "sigma_scale = inf", "sigma_scale = 0", "sigma_scale = -1.5"])
+def test_load_config_rejects_bad_dad_settings(line, tmp_path):
+    # caught at load time, not once per sequence during extraction
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        load_config(path)

@@ -81,6 +81,9 @@ def test_invalid_config():
         dad_thresholds(5, -1.0)
     with pytest.raises(InvalidConfig):
         DadConfig(3, 1.0, np.array([0.5, 0.4, 1.0]))
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfig):
+            make_dad_config(5, sigma)
 
 
 def test_discretize_examples():

@@ -230,12 +230,13 @@ def test_lstm_matches_per_step_oracle(lengths, bidirectional):
 
     pack, hidden, cache = run_layer(model, x, lengths)
     _, _, cell, gates = cache[1:]
+    # read before the backward pass writes the gate gradients over the gates
+    got = {key: to_padded(value, pack, mask.shape)
+           for key, value in (("hidden", hidden), ("gates", gates), ("cell", cell))}
     d_packed = network._flip_reverse(network._packed(d_hidden.reshape(len(lengths), t_len, -1),
                                                      pack).reshape(-1, dirs, h), pack)
     grads = {}
     dx = network._bilstm_backward(model, cache, pack, d_packed, grads, input_grad=True)
-    got = {key: to_padded(value, pack, mask.shape)
-           for key, value in (("hidden", hidden), ("gates", gates), ("cell", cell))}
     got["dX"] = to_padded(dx[:, None], pack, mask.shape)[:, :, 0]
     want = {"dX": np.zeros_like(x)}
     for k, direction in enumerate(model.directions):
@@ -254,6 +255,99 @@ def test_lstm_matches_per_step_oracle(lengths, bidirectional):
     for key in want:
         assert got[key].shape == want[key].shape, key
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+
+def _whole_array_bilstm_backward(model, layer, pack, d_hidden):
+    """Reference BPTT that leaves the gates as they are: dz is formed for
+    every row before the time loop, in a fresh array, and each element sees
+    the operations of `_bilstm_backward` in the same order, so the two agree
+    to the byte. Returns (dW, dU and db by parameter name, dX)."""
+    prefix, x, hidden, cell, gates = layer
+    h = model.hidden
+    first = pack.steps[0][1]
+    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    dz = 1.0 - gates
+    dz *= gates
+    dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
+    dz_i *= gg
+    dz_f[first:] *= cell[pack.prev]
+    dz_f[:first] = 0.0
+    np.multiply(gg, gg, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    dz_g *= gi
+    tanh_c = np.tanh(cell)
+    dz_o *= tanh_c
+    dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+    prefixes = [f"{prefix}.{direction}" for direction in model.directions]
+    us = [model.params[f"{p}.U"] for p in prefixes]
+    dz4 = dz.reshape(len(dz), len(prefixes), 4, h)
+    dh_carry = np.empty((len(prefixes), first, h))
+    dc_carry = hidden[:0]
+    for start, rows in reversed(pack.steps):
+        block = slice(start, start + rows)
+        dh = d_hidden[block]
+        dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
+        dc = dh * dc_dh[block]
+        dc[:len(dc_carry)] += dc_carry
+        dz4[block, :, :3] *= dc[:, :, None]
+        dz4[block, :, 3] *= dh
+        for k, u in enumerate(us):
+            np.matmul(dz[block, k], u, out=dh_carry[k, :rows])
+        dc *= gf[block]
+        dc_carry = dc
+    grads, d_x = {}, None
+    for k, p in enumerate(prefixes):
+        reverse = p.endswith(".bwd")
+        grads[f"{p}.W"] = dz[:, k].T @ (x[pack.flip] if reverse else x)
+        grads[f"{p}.U"] = dz[first:, k].T @ hidden[pack.prev, k]
+        grads[f"{p}.b"] = dz[:, k].sum(axis=0)
+        part = dz[:, k] @ model.params[f"{p}.W"]
+        if reverse:
+            part = part[pack.flip]
+        d_x = part if d_x is None else d_x + part
+    return grads, d_x
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("lengths", [[1], [7, 4, 1, 6], [9, 1, 1, 3, 9, 2]])
+def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, bidirectional):
+    rng = np.random.default_rng(60 + len(lengths))
+    d, h = 5, 16
+    model = layer_model(d, h, bidirectional, rng)
+    x = rng.normal(size=(len(lengths), max(lengths), d))
+    pack, hidden, cache = run_layer(model, x, lengths)
+    d_hidden = rng.normal(size=hidden.shape)
+    want, want_dx = _whole_array_bilstm_backward(model, cache, pack, d_hidden.copy())
+    got = {}
+    dx = network._bilstm_backward(model, cache, pack, d_hidden, got, input_grad=True)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+    assert dx.tobytes() == want_dx.tobytes()
+
+
+def test_train_mode_forwards_share_one_set_of_layer_buffers():
+    model = small_model(dropout=0.3, seed=52)
+    rng = np.random.default_rng(53)
+    buffers = {}
+    caches = []
+    for lengths in ([6, 3, 5], [2, 1]):  # the second batch has fewer rows
+        streams, mask = batch_for(model, rng, batch=len(lengths), lengths=lengths)
+        _, cache = forward(model, streams, mask, train_mode=True, rng=rng, buffers=buffers)
+        caches.append(cache)
+    for name in model.branches:
+        for first, second in zip(caches[0]["branches"][name][:2],
+                                 caches[1]["branches"][name][:2]):
+            for a, b in zip(first[2:], second[2:]):  # hidden, cell, gates
+                assert np.shares_memory(a, b)
+    before = {key: arr.copy() for key, arr in buffers.items()}
+    streams, mask = batch_for(model, rng, batch=4, lengths=[6, 6, 2, 4])
+    forward(model, streams, mask, buffers=buffers)
+    assert sorted(buffers) == sorted(before)
+    for key, arr in buffers.items():
+        assert arr.tobytes() == before[key].tobytes(), key
 
 
 @pytest.mark.parametrize("magnitude", [800.0, 1e6])
@@ -664,6 +758,47 @@ def test_zero_learning_rate_keeps_parameters():
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(NetworkError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_train_matches_a_loop_of_fresh_steps(bidirectional):
+    # ragged lengths, so the packed row count N shrinks and grows from step
+    # to step, and 11 samples in batches of 4, so each epoch ends on 3
+    model = small_model(dropout=0.3, seed=54, bidirectional=bidirectional)
+    rng = np.random.default_rng(55)
+    samples = [Sample({name: rng.normal(0, 1, (t_len, dim))
+                       for name, dim in model.input_dims.items()}, i % model.classes)
+               for i, t_len in enumerate(rng.integers(1, 10, 11))]
+    config = TrainConfig(epochs=3, batch_size=4, rng_seed=56, clip_norm=1.0)
+    reference = dataclasses.replace(model, params={k: v.copy() for k, v in model.params.items()},
+                                    norm={})
+    log = train(model, samples, config)
+
+    network.fit_normalization(reference, samples)
+    rng = np.random.default_rng(config.rng_seed)
+    state = adam_init(reference.params)
+    want, rows = [], []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(samples))
+        loss, norms = 0.0, []
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[i] for i in order[start:start + config.batch_size]]
+            labels = np.array([s.label for s in batch])
+            streams, mask = network.pad_batch(reference, batch)
+            rows.append(int(mask.sum()))
+            probs, cache = forward(reference, streams, mask, train_mode=True, rng=rng)
+            loss += cross_entropy(probs, labels) * len(batch)
+            grads = backward(reference, cache, labels)
+            norms.append(network.clip_gradients(grads, config.clip_norm))
+            adam_step(reference.params, grads, state, config)
+        want.append(network.EpochStats(epoch, loss / len(samples), None, float(np.mean(norms)),
+                                       float(np.max(norms)),
+                                       float(np.mean(np.array(norms) > config.clip_norm)), 0.0))
+    steps = np.diff(rows)
+    assert (steps < 0).any() and (steps[np.argmax(steps < 0):] > 0).any(), rows
+    assert [dataclasses.replace(e, seconds=0.0) for e in log] == want
+    for key, arr in model.params.items():
+        assert arr.tobytes() == reference.params[key].tobytes(), key
 
 
 def test_train_holds_one_step_of_activations():
