@@ -74,7 +74,8 @@ def write_feature_file(path: str | Path, kind: str, array: np.ndarray,
 
 
 def read_feature_file(path: str | Path):
-    """Returns (metadata dict, (frames, dims) float64 array)."""
+    """Returns (metadata dict, (frames, dims) float64 array); a malformed
+    file, or a payload holding NaN or inf, raises `FeatureError`."""
     header, payload = container.read(path, FEATURE_MAGIC, FeatureError)
     if not isinstance(header.get("kind"), str) \
             or not all(type(header.get(k)) is int and header[k] >= 0 for k in _HEADER_COUNTS):
@@ -83,7 +84,13 @@ def read_feature_file(path: str | Path):
     expected = header["frames"] * header["dims"]
     if payload.size != expected:
         raise FeatureError(f"{path}: payload is {8 * payload.size} bytes, expected {8 * expected}")
-    return header, payload.reshape(header["frames"], header["dims"]).copy()
+    array = payload.reshape(header["frames"], header["dims"])
+    bad = ~np.isfinite(array)
+    if bad.any():
+        frame, dim = np.argwhere(bad)[0]
+        raise FeatureError(f"{path}: non-finite value {array[frame, dim]} at frame {frame}, "
+                           f"dim {dim} (0-based)")
+    return header, array.copy()
 
 
 def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KINDS):

@@ -4,9 +4,9 @@ amplitude binning, and offset/dynamic pose differences."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from .errors import InvalidConfig
 from .geometry import (
@@ -58,14 +58,16 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     The kernel is g(x) = exp(-x^2 / (2 sigma^2)); edge i solves
     integral(g, 0, eta_i) = (i/M) * integral(g, 0, sigma), which has the
     closed form eta_i = sigma * sqrt(2) * erfinv((i/M) * erf(1/sqrt(2))).
-    The last edge is sigma exactly.
+    With erf(x/sqrt(2)) = 2 Phi(x) - 1 for the standard normal CDF Phi, that
+    is eta_i = sigma * Phi^-1(1/2 + (i/M) * (Phi(1) - 1/2)), evaluated with
+    the standard library's normal quantile. The last edge is sigma exactly.
     """
     if bins < 1 or not (np.isfinite(sigma) and sigma > 0):
         raise InvalidConfig(f"bins={bins}, sigma={sigma}")
-    edges = np.empty(bins)
-    edges[:-1] = sigma * np.sqrt(2.0) * erfinv(np.arange(1, bins) / bins * erf(np.sqrt(0.5)))
-    edges[-1] = sigma
-    return edges
+    unit = NormalDist()
+    half_mass = unit.cdf(1.0) - 0.5
+    edges = [sigma * unit.inv_cdf(0.5 + i / bins * half_mass) for i in range(1, bins)]
+    return np.array(edges + [sigma], dtype=np.float64)
 
 
 def make_dad_config(bins: int, sigma: float) -> DadConfig:

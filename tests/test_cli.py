@@ -1,9 +1,13 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,8 @@ MALFORMED = [
     ("extract", "config", "sigma_scale = nan\n"),
     ("extract", "config", "sigma_scale = inf\n"),
     ("extract", "config", "dad_bins = 0\n"),
+    ("train", "values", float("nan")),
+    ("train", "values", float("inf")),
 ]
 
 
@@ -253,15 +259,20 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
               "loocv": ["--dataset", synth_root, "--out", tmp_path / "report"],
               "extract": ["--dataset", synth_root, "--out", tmp_path / "feats"]}[command]
     path = tmp_path / "input.txt"
-    if kind == "dims":
+    if kind in ("dims", "values"):
         # one sequence's global stream narrowed to `content` dims, as if it
-        # had been extracted with fewer lags than the rest
+        # had been extracted with fewer lags than the rest, or with one value
+        # replaced by the non-finite `content`
         inputs[1] = tmp_path / "bad_feats"
         shutil.copytree(feature_dir, inputs[1])
         path = sorted(inputs[1].glob("*_global.feat"))[-1]
         meta, array = read_feature_file(path)
-        write_feature_file(path, "global", array[:, :content], meta["gesture"],
-                           meta["finger"], meta["subject"], meta["trial"])
+        if kind == "dims":
+            array = array[:, :content]
+        else:
+            array[3, 5] = content
+        write_feature_file(path, "global", array, meta["gesture"], meta["finger"],
+                           meta["subject"], meta["trial"])
     elif kind == "header":
         inputs[1] = tmp_path / "bad_feats"
         inputs[1].mkdir()
@@ -272,6 +283,7 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         inputs += ["--scripts" if kind == "scripts" else "--config", path]
     assert run([command, *inputs]) == 1
+    assert not (tmp_path / "m.ckpt").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
@@ -286,3 +298,14 @@ def test_every_package_exception_is_a_gestrec_error():
                     if issubclass(cls, Exception) and cls.__module__ == module.__name__]
     assert len(defined) > 10
     assert [cls for cls in defined if not issubclass(cls, GestrecError)] == []
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 24 MB resident and 0.3 s of start-up in every run
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, gestrec, gestrec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

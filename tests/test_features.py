@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_feature_file_rejects_truncated_payload(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(FeatureError):
+        read_feature_file(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_file_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / feature_filename(1, 1, 1, 1, "global")
+    array = np.zeros((6, 30))
+    array[4, 7] = array[5, 2] = value
+    write_feature_file(path, "global", array, 1, 1, 1, 1)
+    with pytest.raises(FeatureError, match=rf"^{re.escape(str(path))}: non-finite value "
+                                           r".* at frame 4, dim 7 "):
         read_feature_file(path)
 
 

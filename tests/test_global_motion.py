@@ -74,6 +74,20 @@ def test_thresholds_strictly_increasing():
         assert np.all(np.diff(edges) > 0)
 
 
+def test_thresholds_match_the_erfinv_closed_form():
+    # the same closed form in its erfinv spelling; scipy is imported here
+    # only, since the package itself does not depend on it
+    from scipy.special import erf, erfinv
+    for bins in range(1, 33):
+        for sigma in (0.01, 0.8, 1.0, 2.5, 123.0):
+            edges = dad_thresholds(bins, sigma)
+            reference = sigma * np.sqrt(2.0) * erfinv(np.arange(1, bins + 1) / bins
+                                                      * erf(np.sqrt(0.5)))
+            np.testing.assert_allclose(edges, reference, rtol=1e-14, atol=0)
+            assert np.all(np.diff(edges) > 0)
+            assert edges[-1] == sigma
+
+
 def test_invalid_config():
     with pytest.raises(InvalidConfig):
         dad_thresholds(0, 1.0)
