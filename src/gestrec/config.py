@@ -55,6 +55,8 @@ class PipelineConfig:
                 raise ConfigError(f"unknown branch: {name}")
         if not self.branches:
             raise ConfigError("at least one branch required")
+        if len(set(self.branches)) < len(self.branches):
+            raise ConfigError(f"branches repeat a name: {', '.join(self.branches)}")
         for name in ("lstm_hidden", "fc_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive: {getattr(self, name)}")

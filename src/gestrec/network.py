@@ -113,9 +113,21 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
                dropout: float = 0.3, bidirectional: bool = True,
                seed: int = 0) -> NetworkModel:
     """Build a model with uniform(+/- 1/sqrt(fan_in)) weights, zero biases and
-    forget-gate bias +1."""
+    forget-gate bias +1. Branch names must be distinct, and every size at
+    least 1."""
     model = NetworkModel(tuple(branches), dict(input_dims), classes, hidden,
                          fc_out, tuple(head), dropout, bidirectional, seed)
+    if len(set(model.branches)) < len(model.branches):
+        raise NetworkError(f"branches repeat a name: {model.branches}")
+    for name in model.branches:
+        if name not in input_dims:
+            raise ShapeMismatch(f"missing input dim for branch {name!r}")
+    sizes = {"classes": classes, "hidden": hidden, "fc_out": fc_out,
+             **{f"head width {i}": width for i, width in enumerate(model.head)},
+             **{f"input dim of {name!r}": input_dims[name] for name in model.branches}}
+    for what, size in sizes.items():
+        if size < 1:
+            raise NetworkError(f"{what} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
 
     def uniform(rows, cols):
@@ -130,8 +142,6 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
         model.params[f"{prefix}.b"] = bias
 
     for name in model.branches:
-        if name not in input_dims:
-            raise ShapeMismatch(f"missing input dim for branch {name!r}")
         for direction in model.directions:
             lstm_block(f"{name}.l1.{direction}", input_dims[name])
         for direction in model.directions:
@@ -224,6 +234,15 @@ def _flip_reverse(a, pack):
     return np.concatenate([a[:, :1], a[pack.flip, 1:]], axis=1)
 
 
+def _layer2_input(h1, pack, keep):
+    """Layer 2's packed input (N, dirs * h): layer 1's hidden states `h1`
+    in forward time order, times the padded dropout mask `keep` if any."""
+    x = _flip_reverse(h1, pack).reshape(len(h1), -1)
+    if keep is not None:
+        x *= _packed(keep, pack)
+    return x
+
+
 def _buffer(buffers, key, shape, fresh=np.empty):
     """A `shape` view of `buffers[key]`, which grows to the largest size
     asked for and keeps the values of its last use; `fresh(shape)` if
@@ -245,9 +264,11 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     each sample's flipped valid prefix: both directions share each step's
     rows and end on each sample's last row. Returns the hidden states
     (N, dirs, h), each direction in its own time order, and, if `keep`, the
-    cache `_bilstm_backward` reads; the cached `gates` hold the (i, f, g, o)
-    activations. With `buffers`, the gates, hidden and cell states are views
-    of the layer's arrays there, overwritten by the next call.
+    gates (N, dirs, 4h), the (i, f, g, o) activations from which
+    `_bilstm_backward` rebuilds the rest. With `buffers`, the gates are a
+    view of the layer's own array there, and the hidden and cell states are
+    views of one scratch pair that every layer shares: the hidden states
+    are valid only until the next layer runs.
     """
     h = model.hidden
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
@@ -268,12 +289,12 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     # three-row one, through other kernels than a larger product. A padded
     # batch multiplies all B rows at every step, so each step here
     # multiplies at least min(B, 4) rows, reading past its own into zeros or
-    # finished rows: a sample's hidden states then do not depend on how
-    # many others are still running.
+    # other rows: a sample's hidden states then do not depend on how many
+    # others are still running.
     min_rows = min(len(pack.last), 4)
-    hidden = _buffer(buffers, f"{prefix}.hidden", (n + min_rows - 1, dirs, h), np.zeros)
+    hidden = _buffer(buffers, "hidden", (n + min_rows - 1, dirs, h), np.zeros)
     hidden[n:] = 0.0
-    cell = _buffer(buffers, f"{prefix}.cell", (n, dirs, h))
+    cell = _buffer(buffers, "cell", (n, dirs, h))
     h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape)
     product = np.empty((dirs, len(h_prev), 4 * h))
     for start, rows in pack.steps:
@@ -291,31 +312,59 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
         np.tanh(c, out=hidden[start:start + rows])
         hidden[start:start + rows] *= g[..., 3 * h:]
         h_prev, c_prev = hidden[start:], c
-    hidden = hidden[:n]
-    return hidden, ((prefix, x, hidden, cell, gates) if keep else None)
+    return hidden[:n], (gates if keep else None)
 
 
-def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
-    """Exact BPTT for one `_bilstm_forward` layer from d_hidden (N, dirs, h),
-    which it overwrites. Writes dW, dU and db into `grads`; returns the input
-    gradient (N, d) in forward time order if `input_grad`.
+def _lstm_states(model, gates, pack, buffers=None):
+    """The cell states, their tanh and the hidden states, each (N, dirs, h),
+    that `_bilstm_forward` formed along with `gates`, rebuilt from them.
+    Every element sees the forward's operations in the same order, so the
+    bytes are the same: c = f * c_prev + i * g, one step block at a time
+    since each reads the block before, then tanh(c) and * o; i * g, tanh
+    and * o are one call each over all rows. With `buffers`, they are views
+    of scratch that every layer shares."""
+    h = model.hidden
+    shape = gates.shape[:2] + (h,)
+    cell = _buffer(buffers, "cell", shape)
+    tanh_c = _buffer(buffers, "tanh_c", shape)
+    hidden = _buffer(buffers, "hidden", shape)
+    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    i_g = np.multiply(gi, gg, out=hidden)
+    # step 0 adds i * g to f * 0, as the forward does, so a -0.0 product becomes +0.0
+    c_prev = np.zeros((pack.steps[0][1],) + shape[1:])
+    for start, rows in pack.steps:
+        c = np.multiply(gf[start:start + rows], c_prev[:rows], out=cell[start:start + rows])
+        c += i_g[start:start + rows]
+        c_prev = c
+    np.tanh(cell, out=tanh_c)
+    np.multiply(tanh_c, go, out=hidden)
+    return cell, tanh_c, hidden
+
+
+def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad, buffers=None):
+    """Exact BPTT for one `_bilstm_forward` layer (prefix, input, gates)
+    from d_hidden (N, dirs, h), which it overwrites. Writes dW, dU and db
+    into `grads`; returns the input gradient (N, d) in forward time order if
+    `input_grad`. The layer's states are first rebuilt from its gates, into
+    the shared scratch of `buffers` if given.
 
     dz (N, dirs, 4h), the gradient at the gate pre-activations, is
         dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
         dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
     One time loop, last step first, carries dh and dc back for every
-    direction. Each step block's dz is formed from its gates and cell states
-    and the cell states of the step before, while they are in cache, and is
-    written over the cached gates. dW, dU and db are then one GEMM or sum
+    direction. Each step block's dz is formed from its gates, cell states
+    and tanh(c) and the cell states of the step before, while they are in
+    cache, and is written over the gates. dW, dU and db are then one GEMM or sum
     each over the valid rows.
     """
-    prefix, x, hidden, cell, gates = layer
+    prefix, x, gates = layer
+    cell, tanh_cell, hidden = _lstm_states(model, gates, pack, buffers)
     h = model.hidden
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
     first = pack.steps[0][1]  # the rows of step 0 start from the zero state
     dh_carry = np.empty((len(prefixes), first, h))
-    dc_carry = hidden[:0]  # nothing flows into the last step
+    dc_carry = cell[:0]  # nothing flows into the last step
     for t in range(len(pack.steps) - 1, -1, -1):
         start, rows = pack.steps[t]
         block = slice(start, start + rows)
@@ -323,7 +372,7 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad):
         gi, gf, gg, go = (g[..., k * h:(k + 1) * h] for k in range(4))
         dh = d_hidden[block]
         dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
-        tanh_c = np.tanh(cell[block])
+        tanh_c = tanh_cell[block]
         # dc/dh through h = o * tanh(c)
         dc = np.multiply(tanh_c, tanh_c)
         np.subtract(1.0, dc, out=dc)
@@ -401,14 +450,17 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     it is first used: per branch `l1`, `summary`, `fc`, then `head.0`, ...,
     `head.out`. The cache records the masks so gradients and finite
     differences see the same network. Only a train-mode cache holds the
-    layer activations `backward` needs; an inference cache keeps none, so
-    each LSTM layer's gates and cell states are freed when it returns.
+    layer activations `backward` needs: each LSTM layer's gates, and layer
+    1's input. `backward` rebuilds the cell and hidden states and layer 2's
+    input from them. An inference cache keeps none, so each LSTM layer's
+    gates and cell states are freed when it returns.
 
     `buffers`, a dict `train` makes once per call, holds each LSTM layer's
-    gates, hidden and cell states across train-mode calls, so no step
-    allocates them again. Such a cache is valid only until the next forward
-    on the same buffers, and `backward` turns its gates into gate gradients.
-    An inference forward never touches `buffers`.
+    gates and one cell, hidden and tanh(c) scratch that all layers share
+    across train-mode calls, so no step allocates them again. Such a cache
+    is valid only until the next forward on the same buffers, and `backward`
+    turns its gates into gate gradients. An inference forward never touches
+    `buffers`.
     """
     mask = _validate_batch(model, streams, mask)
     bsz, t_len = mask.shape
@@ -428,24 +480,24 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     def dropped(x, key):
         return x * drop_mask(key, x.shape) if use_dropout else x
 
-    cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
-             "branches": {}}
     layer_buffers = buffers if train_mode else None
+    cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
+             "buffers": layer_buffers, "branches": {}}
     branch_outputs = []
     for name in model.branches:
         stats = model.norm[name]
         x = (_packed(streams[name], pack) - stats["mean"]) / stats["std"]
-        h1, l1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode, layer_buffers)
-        x = _flip_reverse(h1, pack).reshape(len(h1), -1)
-        if use_dropout:
-            x *= _packed(drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)), pack)
-        h2, l2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode, layer_buffers)
+        h1, gates1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode, layer_buffers)
+        l1 = (f"{name}.l1", x, gates1) if train_mode else None
+        keep = drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)) if use_dropout else None
+        x = _layer2_input(h1, pack, keep)
+        h2, gates2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode, layer_buffers)
         # each direction's last row: forward at the last valid step, reverse at step 0
         summary = h2[pack.last].reshape(bsz, -1)
         branch_out, fc = _dense_forward(model, [f"{name}.fc"],
                                         dropped(summary, f"{name}.summary"), dropped)
         if train_mode:
-            cache["branches"][name] = (l1, l2, fc)
+            cache["branches"][name] = (l1, gates2, fc)
         branch_outputs.append(branch_out)
 
     head = [f"head.{i}" for i in range(len(model.head))] + ["head.out"]
@@ -478,7 +530,10 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     `cache["branches"]` as its gradients are formed, each LSTM layer's gates
     are overwritten by their gradients, and layer 2's activations are
     released before layer 1's BPTT runs (what `forward`'s `buffers` hold
-    stays there). `mask`, `pack`, `dropout` and `probs` stay.
+    stays there). Each layer's cell and hidden states are rebuilt from its
+    gates just before its BPTT, and layer 2's input from layer 1's rebuilt
+    hidden states, byte for byte as `forward` formed them. `mask`, `pack`,
+    `dropout`, `buffers` and `probs` stay.
     """
     labels = np.asarray(labels)
     probs = cache["probs"]
@@ -502,19 +557,23 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     inner = (dldp * probs).sum(axis=1, keepdims=True)
     grads = {}
     da = _dense_backward(model, cache.pop("head"), probs * (dldp - inner), undrop, grads)
+    buffers = cache["buffers"]
     for i, name in enumerate(model.branches):
-        l1, l2, fc = cache["branches"].pop(name)
+        l1, gates2, fc = cache["branches"].pop(name)
         d_fc = da[:, i * model.fc_out:(i + 1) * model.fc_out]
         d_summary = undrop(_dense_backward(model, fc, d_fc, undrop, grads), f"{name}.summary")
-        d_h2 = np.zeros_like(l2[2])  # shaped like layer 2's hidden states
+        d_h2 = np.zeros(gates2.shape[:2] + (model.hidden,))
         d_h2[pack.last] = d_summary.reshape(bsz, -1, model.hidden)
-        d_x = _bilstm_backward(model, l2, pack, d_h2, grads, input_grad=True)
-        del l2, d_h2  # layer 2's activations go before layer 1's BPTT starts
-        if masks is not None:
-            d_x *= _packed(masks[f"{name}.l1"], pack)
+        keep = None if masks is None else masks[f"{name}.l1"]
+        x = _layer2_input(_lstm_states(model, l1[2], pack, buffers)[2], pack, keep)
+        d_x = _bilstm_backward(model, (f"{name}.l2", x, gates2), pack, d_h2, grads,
+                               True, buffers)
+        del x, gates2, d_h2  # layer 2's activations go before layer 1's BPTT starts
+        if keep is not None:
+            d_x *= _packed(keep, pack)
         d_h1 = _flip_reverse(d_x.reshape(len(d_x), -1, model.hidden), pack)
         del d_x
-        _bilstm_backward(model, l1, pack, d_h1, grads, input_grad=False)
+        _bilstm_backward(model, l1, pack, d_h1, grads, False, buffers)
         del l1, d_h1
     return {key: grads[key] for key in model.params}
 

@@ -247,6 +247,8 @@ MALFORMED = [
     ("extract", "config", "dad_bins = 0\n"),
     ("train", "values", float("nan")),
     ("train", "values", float("inf")),
+    ("train", "config", TINY_CONFIG + "branches = global, global\n"),
+    ("loocv", "config", TINY_CONFIG + "branches = finger, skeleton, finger\n"),
 ]
 
 

@@ -68,6 +68,8 @@ def test_config_validation():
         PipelineConfig(branches=("global", "sonar"))
     with pytest.raises(ConfigError):
         PipelineConfig(branches=())
+    with pytest.raises(ConfigError, match="repeat"):
+        PipelineConfig(branches=("global", "finger", "global"))
 
 
 @pytest.mark.parametrize("line", ["dad_bins = 0", "dad_bins = -2", "sigma_scale = nan",

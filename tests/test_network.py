@@ -68,12 +68,13 @@ def layer_model(d, h, bidirectional=True, rng=None):
     return model
 
 
-def run_layer(model, x, lengths):
-    """Layer `b.l1` on a padded (B, T, d) input; returns (pack, hidden, cache)."""
+def run_layer(model, x, lengths, buffers=None):
+    """Layer `b.l1` on a padded (B, T, d) input; returns (pack, hidden,
+    layer cache (prefix, input, gates))."""
     pack = network._pack(np.arange(x.shape[1]) < np.array(lengths)[:, None])
-    hidden, cache = network._bilstm_forward(model, "b.l1", network._packed(x, pack), pack,
-                                            keep=True)
-    return pack, hidden, cache
+    x = network._packed(x, pack)
+    hidden, gates = network._bilstm_forward(model, "b.l1", x, pack, True, buffers)
+    return pack, hidden, ("b.l1", x, gates)
 
 
 def to_padded(packed, pack, shape):
@@ -229,7 +230,8 @@ def test_lstm_matches_per_step_oracle(lengths, bidirectional):
     d_hidden = rng.normal(size=(len(lengths), t_len, dirs, h)) * mask[:, :, None, None]
 
     pack, hidden, cache = run_layer(model, x, lengths)
-    _, _, cell, gates = cache[1:]
+    gates = cache[2]
+    cell = network._lstm_states(model, gates, pack)[0]
     # read before the backward pass writes the gate gradients over the gates
     got = {key: to_padded(value, pack, mask.shape)
            for key, value in (("hidden", hidden), ("gates", gates), ("cell", cell))}
@@ -257,12 +259,13 @@ def test_lstm_matches_per_step_oracle(lengths, bidirectional):
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
 
 
-def _whole_array_bilstm_backward(model, layer, pack, d_hidden):
+def _whole_array_bilstm_backward(model, layer, hidden, cell, pack, d_hidden):
     """Reference BPTT that leaves the gates as they are: dz is formed for
-    every row before the time loop, in a fresh array, and each element sees
-    the operations of `_bilstm_backward` in the same order, so the two agree
-    to the byte. Returns (dW, dU and db by parameter name, dX)."""
-    prefix, x, hidden, cell, gates = layer
+    every row before the time loop, in a fresh array, from the hidden and
+    cell states the forward pass formed, and each element sees the
+    operations of `_bilstm_backward` in the same order, so the two agree to
+    the byte. Returns (dW, dU and db by parameter name, dX)."""
+    prefix, x, gates = layer
     h = model.hidden
     first = pack.steps[0][1]
     gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
@@ -317,11 +320,14 @@ def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, bidirectional
     d, h = 5, 16
     model = layer_model(d, h, bidirectional, rng)
     x = rng.normal(size=(len(lengths), max(lengths), d))
-    pack, hidden, cache = run_layer(model, x, lengths)
+    buffers = {}
+    pack, hidden, cache = run_layer(model, x, lengths, buffers)
+    cell = buffers["cell"][:hidden.size].reshape(hidden.shape).copy()
     d_hidden = rng.normal(size=hidden.shape)
-    want, want_dx = _whole_array_bilstm_backward(model, cache, pack, d_hidden.copy())
+    want, want_dx = _whole_array_bilstm_backward(model, cache, hidden.copy(), cell, pack,
+                                                 d_hidden.copy())
     got = {}
-    dx = network._bilstm_backward(model, cache, pack, d_hidden, got, input_grad=True)
+    dx = network._bilstm_backward(model, cache, pack, d_hidden, got, True, buffers)
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
@@ -338,16 +344,61 @@ def test_train_mode_forwards_share_one_set_of_layer_buffers():
         _, cache = forward(model, streams, mask, train_mode=True, rng=rng, buffers=buffers)
         caches.append(cache)
     for name in model.branches:
-        for first, second in zip(caches[0]["branches"][name][:2],
-                                 caches[1]["branches"][name][:2]):
-            for a, b in zip(first[2:], second[2:]):  # hidden, cell, gates
-                assert np.shares_memory(a, b)
+        (_, _, gates1), gates2, _ = caches[0]["branches"][name]
+        (_, _, again1), again2, _ = caches[1]["branches"][name]
+        assert np.shares_memory(gates1, again1) and np.shares_memory(gates2, again2)
     before = {key: arr.copy() for key, arr in buffers.items()}
     streams, mask = batch_for(model, rng, batch=4, lengths=[6, 6, 2, 4])
     forward(model, streams, mask, buffers=buffers)
     assert sorted(buffers) == sorted(before)
     for key, arr in buffers.items():
         assert arr.tobytes() == before[key].tobytes(), key
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("lengths", [[1], [7, 4, 1, 6], [9, 1, 1, 3, 9, 2]])
+def test_rebuilt_states_match_the_forward_bytes(lengths, bidirectional):
+    # both layers of a branch run on one shared scratch, so layer 1's states
+    # are gone once layer 2 has run; backward rebuilds them from the gates
+    rng = np.random.default_rng(70 + len(lengths))
+    d, h = 5, 16
+    model = layer_model(d, h, bidirectional, rng)
+    for key in model.params:
+        if key.startswith("b.l2."):
+            model.params[key] = rng.normal(0, 0.7, model.params[key].shape)
+    x = rng.normal(size=(len(lengths), max(lengths), d))
+    buffers = {}
+    pack, h1, (_, _, gates1) = run_layer(model, x, lengths, buffers)
+    states1 = [buffers[key][:h1.size].reshape(h1.shape).copy() for key in ("cell", "hidden")]
+    keep = rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5
+    x2 = network._layer2_input(h1, pack, keep)
+    h2, gates2 = network._bilstm_forward(model, "b.l2", x2, pack, True, buffers)
+    states2 = [buffers[key][:h2.size].reshape(h2.shape).copy() for key in ("cell", "hidden")]
+    assert np.shares_memory(h1, h2)
+
+    for gates, (cell, hidden) in ((gates2, states2), (gates1, states1)):
+        got_cell, got_tanh, got_hidden = network._lstm_states(model, gates, pack, buffers)
+        assert got_cell.tobytes() == cell.tobytes()
+        assert got_hidden.tobytes() == hidden.tobytes()
+        assert np.array_equal(got_tanh, np.tanh(cell))
+    assert network._layer2_input(got_hidden, pack, keep).tobytes() == x2.tobytes()
+
+
+def test_train_mode_buffers_hold_only_gates_per_layer():
+    model = small_model(dropout=0.3, seed=57)
+    streams, mask = batch_for(model, np.random.default_rng(58), lengths=[6, 3, 5])
+    buffers = {}
+    _, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(59),
+                       buffers=buffers)
+    gates = [f"{name}.l{i}.gates" for name in model.branches for i in (1, 2)]
+    assert sorted(buffers) == sorted(gates + ["cell", "hidden"])
+    for name in model.branches:
+        (prefix, x, gates1), gates2, _ = cache["branches"][name]
+        assert prefix == f"{name}.l1" and x.shape == (mask.sum(), model.input_dims[name])
+        assert np.shares_memory(gates1, buffers[f"{name}.l1.gates"])
+        assert np.shares_memory(gates2, buffers[f"{name}.l2.gates"])
+    backward(model, cache, np.array([0, 1, 2]))
+    assert sorted(buffers) == sorted(gates + ["cell", "hidden", "tanh_c"])
 
 
 @pytest.mark.parametrize("magnitude", [800.0, 1e6])
@@ -358,7 +409,7 @@ def test_saturated_lstm_stays_finite(magnitude):
         arr[:] = 0.0 if key.endswith(".b") else 1.0
     x = magnitude * np.array([1.0, -1.0, -1.0, 1.0, 1.0])[None, :, None]
     with np.errstate(over="raise", invalid="raise"):
-        _, hidden, (_, _, _, _, gates) = run_layer(model, x, [5])
+        _, hidden, (_, _, gates) = run_layer(model, x, [5])
     sigmoid_gates = np.delete(gates, np.s_[2 * h:3 * h], axis=2)
     assert np.all(np.isfinite(hidden)) and np.all(np.abs(hidden) <= 1.0)
     assert np.all((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0))
@@ -855,6 +906,18 @@ def test_train_rejects_mismatched_stream_width():
         train(model, samples, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"branches": ("global", "finger", "global")}, "repeat"), ({"classes": 0}, "classes"),
+    ({"hidden": 0}, "hidden"), ({"fc_out": 0}, "fc_out"), ({"head": (6, 0)}, "head width 1"),
+    ({"input_dims": {"global": 5, "finger": 0, "skeleton": 6}}, "'finger'")])
+def test_init_model_refuses_repeated_branches_and_empty_sizes(change, message):
+    args = {"branches": ("global", "finger", "skeleton"),
+            "input_dims": {"global": 5, "finger": 7, "skeleton": 6},
+            "classes": 4, "hidden": 3, "fc_out": 4, "head": (6, 5)}
+    with pytest.raises(NetworkError, match=message):
+        init_model(**{**args, **change})
+
+
 def test_initialization_bounds_and_forget_bias():
     model = small_model(seed=26)
     h = model.hidden
@@ -955,6 +1018,23 @@ def _with_header(header, **changes):
     return json.dumps({**header, **changes}, sort_keys=True).encode()
 
 
+def _without_classes(magic, header, rest):
+    """A checkpoint of the same model with 0 classes, whose header, manifest
+    and payload agree: `head.out`'s arrays are empty."""
+    marker, payload = rest[:7], np.frombuffer(rest[7:], dtype="<f8")
+    arrays, kept, offset = [], [], 0
+    for name, shape in header["arrays"]:
+        size = math.prod(shape)
+        if name.startswith("params/head.out."):
+            shape = [0] + shape[1:]
+        else:
+            kept.append(payload[offset:offset + size])
+        arrays.append([name, shape])
+        offset += size
+    return [magic, _with_header(header, classes=0, arrays=arrays),
+            marker + np.concatenate(kept).tobytes()]
+
+
 # Each case maps (magic line, header dict, BINARY marker + payload) to file bytes.
 CORRUPT_CHECKPOINTS = {
     "truncated": lambda m, h, rest: [m, _with_header(h), rest[:-13]],
@@ -964,6 +1044,7 @@ CORRUPT_CHECKPOINTS = {
                                                       if k != "hidden"}), rest],
     "magic-not-utf8": lambda m, h, rest: [b"\xff\xfe" + m, _with_header(h), rest],
     "hidden-mismatch": lambda m, h, rest: [m, _with_header(h, hidden=h["hidden"] + 1), rest],
+    "zero-classes": _without_classes,
 }
 
 
