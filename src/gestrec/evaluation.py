@@ -148,6 +148,7 @@ class SplitResult:
     accuracy: dict[str, float | None]
     predictions: np.ndarray          # 1-based class labels
     labels: np.ndarray
+    training: list[EpochStats]       # the split's training log, one entry per epoch
 
 
 @dataclass
@@ -242,7 +243,8 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
         pooled_preds.extend(preds.tolist())
         pooled_labels.extend(labels.tolist())
         acc = _split_accuracies(preds, labels, config, classes)
-        results.append(SplitResult(split.held_out_subject, len(test_idx), acc, preds, labels))
+        results.append(SplitResult(split.held_out_subject, len(test_idx), acc, preds, labels,
+                                   log))
         if progress is not None:
             both = acc["both"]
             progress(f"subject {split.held_out_subject:2d}: "
@@ -281,7 +283,9 @@ def render_summary(report: EvaluationReport) -> str:
 
 
 def write_report(report: EvaluationReport, outdir: str | Path) -> list[Path]:
-    """Write summary.txt/summary.csv, per_split.csv, confusion.csv (+larfd.csv)."""
+    """Write summary.txt/summary.csv, per_split.csv, confusion.csv,
+    training.csv (+larfd.csv). training.csv has one row per split and epoch
+    and leaves out the epoch's wall time, so a rerun writes the same bytes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -311,6 +315,13 @@ def write_report(report: EvaluationReport, outdir: str | Path) -> list[Path]:
             cells.append("" if value is None else f"{value:.6f}")
         rows.append(",".join(cells))
     emit("per_split.csv", "\n".join(rows) + "\n")
+
+    rows = ["held_out_subject,epoch,loss,grad_norm_mean,grad_norm_max,clipped_fraction"]
+    for r in report.splits:
+        for e in r.training:
+            rows.append(f"{r.held_out_subject},{e.epoch},{e.loss:.9g},{e.grad_norm_mean:.9g},"
+                        f"{e.grad_norm_max:.9g},{e.clipped_fraction:.9g}")
+    emit("training.csv", "\n".join(rows) + "\n")
 
     names = [class_name(i + 1, report.classes) for i in range(report.classes)]
     rows = ["true\\pred," + ",".join(names)]

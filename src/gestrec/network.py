@@ -96,6 +96,7 @@ class NetworkModel:
     dropout: float
     bidirectional: bool
     seed: int
+    dtype: np.dtype  # of every parameter and every activation; features stay float64
     params: dict[str, np.ndarray] = field(default_factory=dict)
     norm: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
@@ -111,12 +112,15 @@ class NetworkModel:
 def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int = 100,
                fc_out: int = 128, head: tuple[int, ...] = (256, 128),
                dropout: float = 0.3, bidirectional: bool = True,
-               seed: int = 0) -> NetworkModel:
+               seed: int = 0, dtype=np.float32) -> NetworkModel:
     """Build a model with uniform(+/- 1/sqrt(fan_in)) weights, zero biases and
     forget-gate bias +1. Branch names must be distinct, and every size at
-    least 1."""
+    least 1. The weights are drawn in float64, so a seed gives the same draws
+    at either `dtype` (float32 or float64), and then rounded to `dtype` once."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise NetworkError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     model = NetworkModel(tuple(branches), dict(input_dims), classes, hidden,
-                         fc_out, tuple(head), dropout, bidirectional, seed)
+                         fc_out, tuple(head), dropout, bidirectional, seed, np.dtype(dtype))
     if len(set(model.branches)) < len(model.branches):
         raise NetworkError(f"branches repeat a name: {model.branches}")
     for name in model.branches:
@@ -155,6 +159,8 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
         model.params[f"head.{i}.b"] = np.zeros(widths[i + 1])
     model.params["head.out.W"] = uniform(classes, widths[-2])
     model.params["head.out.b"] = np.zeros(classes)
+    model.params = {key: arr.astype(model.dtype, copy=False)
+                    for key, arr in model.params.items()}
 
     for name in model.branches:
         model.norm[name] = {"mean": np.zeros(input_dims[name]),
@@ -243,16 +249,16 @@ def _layer2_input(h1, pack, keep):
     return x
 
 
-def _buffer(buffers, key, shape, fresh=np.empty):
+def _buffer(buffers, key, shape, dtype, fresh=np.empty):
     """A `shape` view of `buffers[key]`, which grows to the largest size
-    asked for and keeps the values of its last use; `fresh(shape)` if
-    `buffers` is None."""
+    asked for and keeps the values of its last use; `fresh(shape, dtype)`
+    if `buffers` is None."""
     if buffers is None:
-        return fresh(shape)
+        return fresh(shape, dtype)
     size = math.prod(shape)
     flat = buffers.get(key)
     if flat is None or flat.size < size:
-        flat = buffers[key] = np.zeros(size)
+        flat = buffers[key] = np.zeros(size, dtype)
     return flat[:size].reshape(shape)
 
 
@@ -270,15 +276,15 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     views of one scratch pair that every layer shares: the hidden states
     are valid only until the next layer runs.
     """
-    h = model.hidden
+    h, dtype = model.hidden, model.dtype
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
     # tanh(z * scale) * scale + shift gives all four gates with one tanh
-    scale = np.full(4 * h, 0.5)
+    scale = np.full(4 * h, 0.5, dtype)
     scale[2 * h:3 * h] = 1.0
     shift = 1.0 - scale
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     n, dirs = len(x), len(prefixes)
-    gates = _buffer(buffers, f"{prefix}.gates", (n, dirs, 4 * h))
+    gates = _buffer(buffers, f"{prefix}.gates", (n, dirs, 4 * h), dtype)
     for k, p in enumerate(prefixes):
         # every step's input projection in one GEMM; the loop adds only h_prev @ U.T
         np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
@@ -289,14 +295,15 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     # three-row one, through other kernels than a larger product. A padded
     # batch multiplies all B rows at every step, so each step here
     # multiplies at least min(B, 4) rows, reading past its own into zeros or
-    # other rows: a sample's hidden states then do not depend on how many
-    # others are still running.
+    # other rows: at hidden 100 a sample's hidden states then do not depend
+    # on how many others are still running (README Conventions says what
+    # holds at other sizes).
     min_rows = min(len(pack.last), 4)
-    hidden = _buffer(buffers, "hidden", (n + min_rows - 1, dirs, h), np.zeros)
+    hidden = _buffer(buffers, "hidden", (n + min_rows - 1, dirs, h), dtype, np.zeros)
     hidden[n:] = 0.0
-    cell = _buffer(buffers, "cell", (n, dirs, h))
-    h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape)
-    product = np.empty((dirs, len(h_prev), 4 * h))
+    cell = _buffer(buffers, "cell", (n, dirs, h), dtype)
+    h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape, dtype)
+    product = np.empty((dirs, len(h_prev), 4 * h), dtype)
     for start, rows in pack.steps:
         g = gates[start:start + rows]
         m = max(rows, min_rows)
@@ -325,13 +332,13 @@ def _lstm_states(model, gates, pack, buffers=None):
     of scratch that every layer shares."""
     h = model.hidden
     shape = gates.shape[:2] + (h,)
-    cell = _buffer(buffers, "cell", shape)
-    tanh_c = _buffer(buffers, "tanh_c", shape)
-    hidden = _buffer(buffers, "hidden", shape)
+    cell = _buffer(buffers, "cell", shape, model.dtype)
+    tanh_c = _buffer(buffers, "tanh_c", shape, model.dtype)
+    hidden = _buffer(buffers, "hidden", shape, model.dtype)
     gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
     i_g = np.multiply(gi, gg, out=hidden)
     # step 0 adds i * g to f * 0, as the forward does, so a -0.0 product becomes +0.0
-    c_prev = np.zeros((pack.steps[0][1],) + shape[1:])
+    c_prev = np.zeros((pack.steps[0][1],) + shape[1:], model.dtype)
     for start, rows in pack.steps:
         c = np.multiply(gf[start:start + rows], c_prev[:rows], out=cell[start:start + rows])
         c += i_g[start:start + rows]
@@ -363,7 +370,7 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad, buffers=No
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
     first = pack.steps[0][1]  # the rows of step 0 start from the zero state
-    dh_carry = np.empty((len(prefixes), first, h))
+    dh_carry = np.empty((len(prefixes), first, h), model.dtype)
     dc_carry = cell[:0]  # nothing flows into the last step
     for t in range(len(pack.steps) - 1, -1, -1):
         start, rows = pack.steps[t]
@@ -473,7 +480,7 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
 
     def drop_mask(key, shape):
         if key not in dropout_masks:
-            keep = (rng.random(shape) >= model.dropout).astype(np.float64)
+            keep = (rng.random(shape) >= model.dropout).astype(model.dtype)
             dropout_masks[key] = keep / (1.0 - model.dropout)
         return dropout_masks[key]
 
@@ -486,7 +493,8 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     branch_outputs = []
     for name in model.branches:
         stats = model.norm[name]
-        x = (_packed(streams[name], pack) - stats["mean"]) / stats["std"]
+        x = ((_packed(streams[name], pack) - stats["mean"]) / stats["std"]).astype(
+            model.dtype, copy=False)
         h1, gates1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode, layer_buffers)
         l1 = (f"{name}.l1", x, gates1) if train_mode else None
         keep = drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)) if use_dropout else None
@@ -505,6 +513,9 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
                                          dropped)
     if train_mode:
         cache["head"] = head_layers
+    # the softmax runs in float64 whatever the model's dtype, so each row
+    # sums to 1 within float64 rounding
+    logits = logits.astype(np.float64, copy=False)
     shifted = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     probs = ex / ex.sum(axis=1, keepdims=True)
@@ -556,13 +567,14 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     # softmax jacobian: dz = p * (dldp - sum_j dldp_j p_j)
     inner = (dldp * probs).sum(axis=1, keepdims=True)
     grads = {}
-    da = _dense_backward(model, cache.pop("head"), probs * (dldp - inner), undrop, grads)
+    d_logits = (probs * (dldp - inner)).astype(model.dtype, copy=False)
+    da = _dense_backward(model, cache.pop("head"), d_logits, undrop, grads)
     buffers = cache["buffers"]
     for i, name in enumerate(model.branches):
         l1, gates2, fc = cache["branches"].pop(name)
         d_fc = da[:, i * model.fc_out:(i + 1) * model.fc_out]
         d_summary = undrop(_dense_backward(model, fc, d_fc, undrop, grads), f"{name}.summary")
-        d_h2 = np.zeros(gates2.shape[:2] + (model.hidden,))
+        d_h2 = np.zeros(gates2.shape[:2] + (model.hidden,), model.dtype)
         d_h2[pack.last] = d_summary.reshape(bsz, -1, model.hidden)
         keep = None if masks is None else masks[f"{name}.l1"]
         x = _layer2_input(_lstm_states(model, l1[2], pack, buffers)[2], pack, keep)
@@ -768,9 +780,12 @@ def _array_manifest(model: NetworkModel):
 
 
 def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
-    """Header (architecture + array manifest) then the float64 LE arrays, written atomically."""
+    """Header (architecture, the model's `dtype` and the array manifest) then
+    the arrays as little-endian float64, written atomically. Every float32
+    value is a float64 value too, so a float32 model is stored exactly."""
     arrays = _array_manifest(model)
     header = {
+        "dtype": model.dtype.name,
         "classes": model.classes,
         "branches": list(model.branches),
         "input_dims": model.input_dims,
@@ -788,18 +803,24 @@ def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> NetworkModel:
     """Rebuild the header's architecture with `init_model` and fill its arrays
     from the payload; the header's manifest and the payload size must match
-    that architecture exactly, every value must be finite and every
-    normalization `std` positive."""
+    that architecture exactly, every value must be finite, every
+    normalization `std` positive, and every parameter exactly representable
+    in the header's `dtype` ("float32" or "float64"; float64 if the header
+    has none, as in checkpoints written before models had a dtype)."""
     header, payload = container.read(path, CHECKPOINT_MAGIC, CheckpointError)
     dropout = header.get("dropout")
     if type(header.get("bidirectional")) is not bool \
             or type(dropout) not in (int, float) or not 0 <= dropout < 1:
         raise CheckpointError(f"{path}: header needs a boolean 'bidirectional' "
                               f"and a 'dropout' in [0, 1)")
+    dtype = header.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise CheckpointError(f"{path}: header 'dtype' must be \"float32\" or \"float64\", "
+                              f"got {dtype!r}")
     try:
         model = init_model(header["branches"], header["input_dims"], header["classes"],
                            header["hidden"], header["fc_out"], header["head"],
-                           dropout, header["bidirectional"], header["seed"])
+                           dropout, header["bidirectional"], header["seed"], dtype)
     except (KeyError, TypeError, ValueError, OverflowError, NetworkError) as e:
         raise CheckpointError(f"{path}: bad architecture in header: {e!r}") from e
     arrays = _array_manifest(model)
@@ -809,10 +830,15 @@ def load_checkpoint(path: str | Path) -> NetworkModel:
                               f"the architecture in the header")
     offset = 0
     for name, arr in arrays:
-        arr[...] = payload[offset:offset + arr.size].reshape(arr.shape)
+        values = payload[offset:offset + arr.size].reshape(arr.shape)
         offset += arr.size
-        if not np.isfinite(arr).all():
+        if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: array {name} holds a non-finite value")
+        with np.errstate(over="ignore"):  # a finite value beyond float32's range fails below
+            arr[...] = values
+        if not np.array_equal(arr, values):
+            raise CheckpointError(f"{path}: array {name} holds a value that {dtype} "
+                                  f"cannot represent exactly")
         if name.endswith("/std") and not (arr > 0).all():
             raise CheckpointError(f"{path}: array {name} holds a non-positive value")
     return model

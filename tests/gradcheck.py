@@ -6,6 +6,7 @@ from gestrec.network import backward, cross_entropy, forward, init_model
 
 
 def random_tiny_model(rng, bidirectional=True, dropout=0.3):
+    """A float64 model: central differences at h = 1e-5 need its precision."""
     dims = {"global": int(rng.integers(3, 6)),
             "finger": int(rng.integers(3, 6)),
             "skeleton": int(rng.integers(3, 6))}
@@ -13,7 +14,7 @@ def random_tiny_model(rng, bidirectional=True, dropout=0.3):
         ("global", "finger", "skeleton"), dims, classes=3,
         hidden=int(rng.integers(2, 4)), fc_out=int(rng.integers(2, 4)),
         head=(int(rng.integers(3, 5)),), dropout=dropout, bidirectional=bidirectional,
-        seed=int(rng.integers(0, 2 ** 31)))
+        seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
     # jitter every parameter (biases included) so no ReLU pre-activation sits
     # exactly on its kink, where finite differences and the subgradient
     # convention legitimately disagree

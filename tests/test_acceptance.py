@@ -205,7 +205,7 @@ def test_loocv_cli_determinism(tmp_path):
     names = sorted(p.name for p in outputs[0].glob("*.csv"))
     identical = all((outputs[0] / n).read_bytes() == (outputs[1] / n).read_bytes()
                     for n in names)
-    check("loocv-determinism", identical and len(names) >= 3,
+    check("loocv-determinism", identical and len(names) >= 3 and "training.csv" in names,
           f"{len(names)} CSV files byte-identical: {identical}")
 
 

@@ -208,7 +208,12 @@ def test_loocv_report_files(synth_root, config_file, tmp_path, capsys):
     np.testing.assert_array_equal(cells.sum(axis=1)[:6], 6)
     out = capsys.readouterr().out
     assert "LOOCV over 3 subjects" in out
-    assert len(re.findall(r"after \d+ epochs, \d+\.\d\d s\n", out)) == 3
+    epochs = re.findall(r"subject +(\d+): .* after (\d+) epochs, \d+\.\d\d s\n", out)
+    assert len(epochs) == 3
+    training = (tmp_path / "report" / "training.csv").read_text().splitlines()
+    assert training[0] == "held_out_subject,epoch,loss,grad_norm_mean,grad_norm_max,clipped_fraction"
+    assert [row.split(",")[:2] for row in training[1:]] == \
+        [[subject, str(epoch)] for subject, n in epochs for epoch in range(1, int(n) + 1)]
 
 
 FEATURE_HEADER = {"kind": "global", "dims": 30, "frames": 4,

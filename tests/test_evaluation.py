@@ -205,7 +205,8 @@ def test_report_rendering_and_files(tiny_report, tmp_path):
     assert "category" in text and "fine" in text
     files = write_report(tiny_report, tmp_path)
     names = {f.name for f in files}
-    assert {"summary.txt", "summary.csv", "per_split.csv", "confusion.csv"} <= names
+    assert {"summary.txt", "summary.csv", "per_split.csv", "confusion.csv",
+            "training.csv"} <= names
     per_split = (tmp_path / "per_split.csv").read_text().strip().splitlines()
     assert len(per_split) == 1 + 3
     confusion_rows = (tmp_path / "confusion.csv").read_text().strip().splitlines()

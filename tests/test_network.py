@@ -33,11 +33,11 @@ from gestrec.network import (
 from gradcheck import max_relative_error, random_batch, random_tiny_model
 
 
-def small_model(dropout=0.0, seed=1, classes=4, bidirectional=True):
+def small_model(dropout=0.0, seed=1, classes=4, bidirectional=True, dtype=np.float32):
     dims = {"global": 5, "finger": 7, "skeleton": 6}
     return init_model(("global", "finger", "skeleton"), dims, classes=classes,
                       hidden=3, fc_out=4, head=(6, 5), dropout=dropout,
-                      bidirectional=bidirectional, seed=seed)
+                      bidirectional=bidirectional, seed=seed, dtype=dtype)
 
 
 def batch_for(model, rng, batch=3, t_len=6, lengths=None):
@@ -56,23 +56,23 @@ def batch_for(model, rng, batch=3, t_len=6, lengths=None):
 # go between them and padded (B, T, ...) arrays, every direction in forward
 # time order.
 
-def layer_model(d, h, bidirectional=True, rng=None):
+def layer_model(d, h, bidirectional=True, rng=None, dtype=np.float32):
     """A one-branch model whose `b.l1` layer the tests drive directly, with
     N(0, 0.7) layer parameters if `rng` is given."""
     model = init_model(("b",), {"b": d}, classes=2, hidden=h, fc_out=2, head=(),
-                       dropout=0.0, bidirectional=bidirectional)
+                       dropout=0.0, bidirectional=bidirectional, dtype=dtype)
     if rng is not None:
         for key in model.params:
             if key.startswith("b.l1."):
-                model.params[key] = rng.normal(0, 0.7, model.params[key].shape)
+                model.params[key] = rng.normal(0, 0.7, model.params[key].shape).astype(dtype)
     return model
 
 
 def run_layer(model, x, lengths, buffers=None):
-    """Layer `b.l1` on a padded (B, T, d) input; returns (pack, hidden,
-    layer cache (prefix, input, gates))."""
+    """Layer `b.l1` on a padded (B, T, d) input, rounded to the model's
+    dtype; returns (pack, hidden, layer cache (prefix, input, gates))."""
     pack = network._pack(np.arange(x.shape[1]) < np.array(lengths)[:, None])
-    x = network._packed(x, pack)
+    x = network._packed(x, pack).astype(model.dtype)
     hidden, gates = network._bilstm_forward(model, "b.l1", x, pack, True, buffers)
     return pack, hidden, ("b.l1", x, gates)
 
@@ -119,7 +119,7 @@ def test_scalar_lstm_matches_hand_computation():
             state_track.append(h_prev)
         return state_track
 
-    model = layer_model(1, 1)
+    model = layer_model(1, 1, dtype=np.float64)
     for direction in model.directions:
         for name, value in (("W", w), ("U", u), ("b", b)):
             model.params[f"b.l1.{direction}.{name}"] = value
@@ -222,7 +222,7 @@ def _oracle_lstm_backward(w, u, x, mask, hidden, cell, gates, reverse, d_hidden)
 def test_lstm_matches_per_step_oracle(lengths, bidirectional):
     rng = np.random.default_rng(40 + len(lengths))
     d, h, t_len = 5, 3, 7
-    model = layer_model(d, h, bidirectional, rng)
+    model = layer_model(d, h, bidirectional, rng, dtype=np.float64)
     x = rng.normal(size=(len(lengths), t_len, d))
     mask = np.arange(t_len) < np.array(lengths)[:, None]
     dirs = len(model.directions)
@@ -286,7 +286,7 @@ def _whole_array_bilstm_backward(model, layer, hidden, cell, pack, d_hidden):
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
     dz4 = dz.reshape(len(dz), len(prefixes), 4, h)
-    dh_carry = np.empty((len(prefixes), first, h))
+    dh_carry = np.empty((len(prefixes), first, h), gates.dtype)
     dc_carry = hidden[:0]
     for start, rows in reversed(pack.steps):
         block = slice(start, start + rows)
@@ -316,22 +316,24 @@ def _whole_array_bilstm_backward(model, layer, hidden, cell, pack, d_hidden):
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("lengths", [[1], [7, 4, 1, 6], [9, 1, 1, 3, 9, 2]])
 def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, bidirectional):
-    rng = np.random.default_rng(60 + len(lengths))
-    d, h = 5, 16
-    model = layer_model(d, h, bidirectional, rng)
-    x = rng.normal(size=(len(lengths), max(lengths), d))
-    buffers = {}
-    pack, hidden, cache = run_layer(model, x, lengths, buffers)
-    cell = buffers["cell"][:hidden.size].reshape(hidden.shape).copy()
-    d_hidden = rng.normal(size=hidden.shape)
-    want, want_dx = _whole_array_bilstm_backward(model, cache, hidden.copy(), cell, pack,
-                                                 d_hidden.copy())
-    got = {}
-    dx = network._bilstm_backward(model, cache, pack, d_hidden, got, True, buffers)
-    assert sorted(got) == sorted(want)
-    for key in want:
-        assert got[key].tobytes() == want[key].tobytes(), key
-    assert dx.tobytes() == want_dx.tobytes()
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(60 + len(lengths))
+        d, h = 5, 16
+        model = layer_model(d, h, bidirectional, rng, dtype=dtype)
+        x = rng.normal(size=(len(lengths), max(lengths), d))
+        buffers = {}
+        pack, hidden, cache = run_layer(model, x, lengths, buffers)
+        cell = buffers["cell"][:hidden.size].reshape(hidden.shape).copy()
+        d_hidden = rng.normal(size=hidden.shape).astype(dtype)
+        want, want_dx = _whole_array_bilstm_backward(model, cache, hidden.copy(), cell, pack,
+                                                     d_hidden.copy())
+        got = {}
+        dx = network._bilstm_backward(model, cache, pack, d_hidden, got, True, buffers)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key].dtype == dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), (dtype, key)
+        assert dx.tobytes() == want_dx.tobytes(), dtype
 
 
 def test_train_mode_forwards_share_one_set_of_layer_buffers():
@@ -360,28 +362,29 @@ def test_train_mode_forwards_share_one_set_of_layer_buffers():
 def test_rebuilt_states_match_the_forward_bytes(lengths, bidirectional):
     # both layers of a branch run on one shared scratch, so layer 1's states
     # are gone once layer 2 has run; backward rebuilds them from the gates
-    rng = np.random.default_rng(70 + len(lengths))
-    d, h = 5, 16
-    model = layer_model(d, h, bidirectional, rng)
-    for key in model.params:
-        if key.startswith("b.l2."):
-            model.params[key] = rng.normal(0, 0.7, model.params[key].shape)
-    x = rng.normal(size=(len(lengths), max(lengths), d))
-    buffers = {}
-    pack, h1, (_, _, gates1) = run_layer(model, x, lengths, buffers)
-    states1 = [buffers[key][:h1.size].reshape(h1.shape).copy() for key in ("cell", "hidden")]
-    keep = rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5
-    x2 = network._layer2_input(h1, pack, keep)
-    h2, gates2 = network._bilstm_forward(model, "b.l2", x2, pack, True, buffers)
-    states2 = [buffers[key][:h2.size].reshape(h2.shape).copy() for key in ("cell", "hidden")]
-    assert np.shares_memory(h1, h2)
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(70 + len(lengths))
+        d, h = 5, 16
+        model = layer_model(d, h, bidirectional, rng, dtype=dtype)
+        for key in model.params:
+            if key.startswith("b.l2."):
+                model.params[key] = rng.normal(0, 0.7, model.params[key].shape).astype(dtype)
+        x = rng.normal(size=(len(lengths), max(lengths), d))
+        buffers = {}
+        pack, h1, (_, _, gates1) = run_layer(model, x, lengths, buffers)
+        states1 = [buffers[key][:h1.size].reshape(h1.shape).copy() for key in ("cell", "hidden")]
+        keep = (rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5).astype(dtype)
+        x2 = network._layer2_input(h1, pack, keep)
+        h2, gates2 = network._bilstm_forward(model, "b.l2", x2, pack, True, buffers)
+        states2 = [buffers[key][:h2.size].reshape(h2.shape).copy() for key in ("cell", "hidden")]
+        assert np.shares_memory(h1, h2) and h2.dtype == dtype
 
-    for gates, (cell, hidden) in ((gates2, states2), (gates1, states1)):
-        got_cell, got_tanh, got_hidden = network._lstm_states(model, gates, pack, buffers)
-        assert got_cell.tobytes() == cell.tobytes()
-        assert got_hidden.tobytes() == hidden.tobytes()
-        assert np.array_equal(got_tanh, np.tanh(cell))
-    assert network._layer2_input(got_hidden, pack, keep).tobytes() == x2.tobytes()
+        for gates, (cell, hidden) in ((gates2, states2), (gates1, states1)):
+            got_cell, got_tanh, got_hidden = network._lstm_states(model, gates, pack, buffers)
+            assert got_cell.tobytes() == cell.tobytes(), dtype
+            assert got_hidden.tobytes() == hidden.tobytes(), dtype
+            assert np.array_equal(got_tanh, np.tanh(cell)), dtype
+        assert network._layer2_input(got_hidden, pack, keep).tobytes() == x2.tobytes(), dtype
 
 
 def test_train_mode_buffers_hold_only_gates_per_layer():
@@ -502,11 +505,15 @@ def test_evaluate_rejects_batch_size_below_one():
 
 def test_batch_composition_leaves_each_sample_unchanged():
     # packing sorts samples by length and runs each step over the samples
-    # still running; results come back in batch order, bit-identical
-    # wherever a sample sits among two or more. Alone, BLAS multiplies one
-    # row with its matrix-vector kernel, which rounds differently.
+    # still running; at float64 the probabilities come back in batch order,
+    # bit-identical wherever a sample sits among two or more. Alone, BLAS
+    # multiplies one row with its matrix-vector kernel, which rounds
+    # differently. (The layer-2 gates of a batch of at most 18 packed rows
+    # already differ in their last bits, see the float32 test below; at
+    # float64 the probabilities round that away.)
     dims = {"global": 5, "finger": 7, "skeleton": 6}
-    model = init_model(tuple(dims), dims, classes=4, hidden=16, fc_out=4, head=(6,), seed=44)
+    model = init_model(tuple(dims), dims, classes=4, hidden=16, fc_out=4, head=(6,), seed=44,
+                       dtype=np.float64)
     rng = np.random.default_rng(45)
     lengths = [7, 4, 4, 1, 6]
     samples = [{name: rng.normal(size=(t, dim)) for name, dim in model.input_dims.items()}
@@ -524,7 +531,7 @@ def test_batch_composition_leaves_each_sample_unchanged():
         np.testing.assert_allclose(probs_of([i])[i], reference[i], rtol=1e-12, atol=0)
 
     # the same at the layer's hidden states, where a step's rounding shows
-    layer = layer_model(5, 16, rng=rng)
+    layer = layer_model(5, 16, rng=rng, dtype=np.float64)
     xs = [rng.normal(size=(t, 5)) for t in lengths]
 
     def hidden_of(order):
@@ -541,12 +548,47 @@ def test_batch_composition_leaves_each_sample_unchanged():
             assert hidden.tobytes() == reference[i].tobytes(), (order, i)
 
 
+@pytest.mark.parametrize("hidden,dims,lengths", [
+    (16, {"global": 5, "finger": 7, "skeleton": 6}, [7, 4, 4, 1, 6]),
+    (100, {"global": 30, "finger": 100, "skeleton": 66}, [30, 26, 38, 34, 29])])
+def test_batch_composition_at_float32_moves_only_the_last_bits(hidden, dims, lengths):
+    # OpenBLAS picks a GEMM kernel by the product's size, and its kernels
+    # round differently: a one-row product, and, on AVX-512 builds, the
+    # small-matrix kernel that x @ W.T takes when out_dim * rows <= 1200 and
+    # in_dim >= 32, which can also round a row by its position. It takes the
+    # layer-2 input projection of a hidden-16 model while a batch has at most
+    # 18 packed rows, and the FC head of a batch of a few samples. So at
+    # float32 a sample's probabilities move with its batch-mates and its
+    # place among them, by the last bits of its float32 logits: at most
+    # 2.3e-9 relative over these batches, batch 1 included. The bound, 1e-6,
+    # is set from the dtype: about 8 float32 ulps of a logit near 1. The same
+    # batch always gives the same bytes.
+    model = init_model(tuple(dims), dims, classes=14, hidden=hidden, seed=44)
+    assert model.dtype == np.float32
+    rng = np.random.default_rng(45)
+    samples = [Sample({name: rng.normal(size=(t, dim)) for name, dim in dims.items()}, 0)
+               for t in lengths]
+
+    def probs_of(order):
+        return dict(zip(order, evaluate(model, [samples[i] for i in order])[1]))
+
+    reference = probs_of(list(range(len(lengths))))
+    again = probs_of(list(range(len(lengths))))
+    assert all(again[i].tobytes() == reference[i].tobytes() for i in reference)
+    for order in ([4, 3, 2, 1, 0], [1, 0], [3, 2], [2, 4, 1], [3, 1, 0, 2, 4, 1],
+                  [0], [1], [2], [3], [4]):
+        for i, probs in probs_of(order).items():
+            np.testing.assert_allclose(probs, reference[i], rtol=1e-6, atol=0,
+                                       err_msg=str((order, i)))
+
+
 def test_dropout_masks_follow_the_documented_draw_order():
     # every trained model's reproducibility rests on this order: per branch
     # l1, summary, fc, then head.0, ..., head.out, each drawn as
-    # (rng.random(shape) >= p) / (1 - p) from the generator passed in
-    for bidirectional in (True, False):
-        model = small_model(dropout=0.3, seed=41, bidirectional=bidirectional)
+    # (rng.random(shape) >= p) / (1 - p) from the generator passed in, in
+    # float64, and the comparison cast to the model's dtype
+    for bidirectional, dtype in ((True, np.float64), (False, np.float64), (True, np.float32)):
+        model = small_model(dropout=0.3, seed=41, bidirectional=bidirectional, dtype=dtype)
         streams, mask = batch_for(model, np.random.default_rng(42), lengths=[6, 2, 4])
         _, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(43))
         bsz, t_len = mask.shape
@@ -561,7 +603,8 @@ def test_dropout_masks_follow_the_documented_draw_order():
         assert list(cache["dropout"]) == list(shapes)
         rng = np.random.default_rng(43)
         for key, shape in shapes.items():
-            want = (rng.random(shape) >= 0.3).astype(np.float64) / (1.0 - 0.3)
+            want = (rng.random(shape) >= 0.3).astype(dtype) / (1.0 - 0.3)
+            assert cache["dropout"][key].dtype == dtype, key
             np.testing.assert_array_equal(cache["dropout"][key], want, err_msg=key)
 
 
@@ -692,6 +735,40 @@ def test_gradients_match_finite_differences_on_ragged_lengths(bidirectional):
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("hidden,lengths", [(3, [6, 4, 2]), (16, [20, 17, 9, 12, 20, 3])])
+def test_float32_gradients_agree_with_float64(hidden, lengths):
+    # the same parameter values, inputs and dropout draws at both dtypes. The
+    # bound, 1e-4 on each parameter's normwise relative error, was set from
+    # the dtype before measuring: float32 rounds at 6e-8, and a gradient
+    # element sums a few thousand rounded terms. Measured over seeds 1-3 and
+    # these sizes, and at hidden 100: at most 5.9e-6 (a layer-2 U at hidden
+    # 3), 1.2e-6 at hidden 100; the losses agree to 1.2e-9 relative.
+    dims = {"global": 5, "finger": 7, "skeleton": 6}
+    for seed in (1, 2, 3):
+        model = init_model(tuple(dims), dims, classes=4, hidden=hidden, fc_out=4, head=(6, 5),
+                           dropout=0.3, seed=seed)
+        twin = dataclasses.replace(model, dtype=np.dtype(np.float64),
+                                   params={k: v.astype(np.float64)
+                                           for k, v in model.params.items()})
+        rng = np.random.default_rng(seed + 1)
+        streams, mask = batch_for(model, rng, batch=len(lengths), t_len=max(lengths),
+                                  lengths=lengths)
+        labels = rng.integers(0, model.classes, len(lengths))
+        losses, grads = [], []
+        for m in (model, twin):
+            probs, cache = forward(m, streams, mask, train_mode=True,
+                                   rng=np.random.default_rng(seed + 2))
+            losses.append(cross_entropy(probs, labels))
+            grads.append(backward(m, cache, labels))
+        assert all(g.dtype == np.float32 for g in grads[0].values())
+        assert losses[0] == pytest.approx(losses[1], rel=1e-4)
+        for key, want in grads[1].items():
+            error = np.linalg.norm(grads[0][key] - want)
+            if error:  # where dropout cut a branch off, both gradients are 0
+                error /= np.linalg.norm(want)
+            assert error < 1e-4, (seed, key, error)
+
+
 def test_zero_input_zero_bias_gives_zero_weight_gradients():
     model = small_model(seed=15)
     for key in model.params:
@@ -707,7 +784,7 @@ def test_zero_input_zero_bias_gives_zero_weight_gradients():
 
 
 def test_batch_gradient_linearity_doubles_duplicate():
-    model = small_model(seed=16)
+    model = small_model(seed=16, dtype=np.float64)
     rng = np.random.default_rng(17)
     t_len = 4
     sample = {name: rng.normal(0, 1, (1, t_len, dim))
@@ -909,7 +986,8 @@ def test_train_rejects_mismatched_stream_width():
 @pytest.mark.parametrize("change,message", [
     ({"branches": ("global", "finger", "global")}, "repeat"), ({"classes": 0}, "classes"),
     ({"hidden": 0}, "hidden"), ({"fc_out": 0}, "fc_out"), ({"head": (6, 0)}, "head width 1"),
-    ({"input_dims": {"global": 5, "finger": 0, "skeleton": 6}}, "'finger'")])
+    ({"input_dims": {"global": 5, "finger": 0, "skeleton": 6}}, "'finger'"),
+    ({"dtype": np.float16}, "dtype")])
 def test_init_model_refuses_repeated_branches_and_empty_sizes(change, message):
     args = {"branches": ("global", "finger", "skeleton"),
             "input_dims": {"global": 5, "finger": 7, "skeleton": 6},
@@ -990,28 +1068,50 @@ def test_predict_rejects_malformed_streams(case, error, message):
 # -------------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    model = small_model(dropout=0.25, seed=31)
-    rng = np.random.default_rng(32)
-    samples = make_samples(model, rng)
-    train(model, samples, TrainConfig(epochs=2, batch_size=4, rng_seed=33))
+    for dtype in (np.float32, np.float64):
+        model = small_model(dropout=0.25, seed=31, dtype=dtype)
+        rng = np.random.default_rng(32)
+        samples = make_samples(model, rng)
+        train(model, samples, TrainConfig(epochs=2, batch_size=4, rng_seed=33))
 
-    first = tmp_path / "model.ckpt"
-    save_checkpoint(model, first)
-    loaded = load_checkpoint(first)
-    assert loaded.branches == model.branches
-    assert loaded.classes == model.classes
+        first = tmp_path / "model.ckpt"
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        assert loaded.branches == model.branches
+        assert loaded.classes == model.classes
+        assert loaded.dtype == dtype
+        for key, arr in model.params.items():
+            assert loaded.params[key].tobytes() == arr.tobytes(), (dtype, key)
+        for name in model.branches:
+            np.testing.assert_array_equal(loaded.norm[name]["mean"], model.norm[name]["mean"])
+            np.testing.assert_array_equal(loaded.norm[name]["std"], model.norm[name]["std"])
+
+        second = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+        streams = {name: rng.normal(size=(5, dim)) for name, dim in model.input_dims.items()}
+        assert predict(model, streams)[1].tobytes() == predict(loaded, streams)[1].tobytes()
+
+
+def test_checkpoint_without_a_dtype_loads_as_float64(tmp_path):
+    # checkpoints written before models had a dtype hold float64 models
+    model = small_model(dropout=0.25, seed=31, dtype=np.float64)
+    train(model, make_samples(model, np.random.default_rng(32)),
+          TrainConfig(epochs=1, batch_size=4, rng_seed=33))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    assert header.pop("dtype") == "float64"
+    path.write_bytes(b"\n".join([magic, json.dumps(header, sort_keys=True).encode(), rest]))
+    loaded = load_checkpoint(path)
+    assert loaded.dtype == np.float64
     for key, arr in model.params.items():
-        np.testing.assert_array_equal(loaded.params[key], arr)
-    for name in model.branches:
-        np.testing.assert_array_equal(loaded.norm[name]["mean"], model.norm[name]["mean"])
-        np.testing.assert_array_equal(loaded.norm[name]["std"], model.norm[name]["std"])
-
-    second = tmp_path / "again.ckpt"
-    save_checkpoint(loaded, second)
-    assert first.read_bytes() == second.read_bytes()
-
-    streams = {name: rng.normal(size=(5, dim)) for name, dim in model.input_dims.items()}
-    np.testing.assert_array_equal(predict(model, streams)[1], predict(loaded, streams)[1])
+        assert loaded.params[key].tobytes() == arr.tobytes(), key
+    streams = {name: np.random.default_rng(34).normal(size=(5, dim))
+               for name, dim in model.input_dims.items()}
+    assert predict(model, streams)[1].tobytes() == predict(loaded, streams)[1].tobytes()
 
 
 def _with_header(header, **changes):
@@ -1035,6 +1135,14 @@ def _without_classes(magic, header, rest):
             marker + np.concatenate(kept).tobytes()]
 
 
+def _inexact_float32(magic, header, rest):
+    """A float32 checkpoint whose first parameter value lies strictly
+    between two float32 values."""
+    payload = np.frombuffer(rest[7:], dtype="<f8").copy()
+    payload[0] = np.nextafter(payload[0], np.inf)
+    return [magic, _with_header(header, dtype="float32"), rest[:7] + payload.tobytes()]
+
+
 # Each case maps (magic line, header dict, BINARY marker + payload) to file bytes.
 CORRUPT_CHECKPOINTS = {
     "truncated": lambda m, h, rest: [m, _with_header(h), rest[:-13]],
@@ -1045,6 +1153,8 @@ CORRUPT_CHECKPOINTS = {
     "magic-not-utf8": lambda m, h, rest: [b"\xff\xfe" + m, _with_header(h), rest],
     "hidden-mismatch": lambda m, h, rest: [m, _with_header(h, hidden=h["hidden"] + 1), rest],
     "zero-classes": _without_classes,
+    "dtype-unknown": lambda m, h, rest: [m, _with_header(h, dtype="float16"), rest],
+    "float32-inexact": _inexact_float32,
 }
 
 
