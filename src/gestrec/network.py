@@ -23,6 +23,7 @@ from .errors import GestrecError
 
 CHECKPOINT_MAGIC = "GESTREC-CKPT 1"
 PROB_FLOOR = 1e-12
+GROUPED_BELOW = 4  # inference batches below this run every branch in one LSTM loop
 
 
 class NetworkError(GestrecError):
@@ -262,19 +263,24 @@ def _buffer(buffers, key, shape, dtype, fresh=np.empty):
     return flat[:size].reshape(shape)
 
 
-def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
-    """Every direction of one LSTM layer in one time loop over packed rows.
+def _bilstm_forward(model, layers, pack, keep, buffers=None):
+    """Every direction of one or more LSTM layers in one time loop over
+    packed rows.
 
-    `x` (N, d) is the layer input in forward time order. The reverse
-    direction reads it through `pack.flip`, so it runs forward in time over
-    each sample's flipped valid prefix: both directions share each step's
-    rows and end on each sample's last row. Returns the hidden states
-    (N, dirs, h), each direction in its own time order, and, if `keep`, the
-    gates (N, dirs, 4h), the (i, f, g, o) activations from which
-    `_bilstm_backward` rebuilds the rest. With `buffers`, the gates are a
-    view of the layer's own array there, and the hidden and cell states are
-    views of one scratch pair that every layer shares: the hidden states
-    are valid only until the next layer runs.
+    `layers` lists (prefix, x) pairs, each `x` (N, d) a layer input in
+    forward time order; the layers may differ in d. The reverse direction
+    reads its input through `pack.flip`, so it runs forward in time over
+    each sample's flipped valid prefix: every direction shares each step's
+    rows and ends on each sample's last row. Returns the hidden states
+    (N, layers * dirs, h), layer-major and each direction in its own time
+    order, and, if `keep`, the gates (N, layers * dirs, 4h), the (i, f, g, o)
+    activations from which `_bilstm_backward` rebuilds the rest. Each
+    direction keeps its own input-projection GEMM and its own per-step
+    product on its own `U`, and the rest is elementwise, so a layer's bytes
+    do not depend on which layers share its loop. With `buffers`, the gates
+    are a view of the group's own array there, and the hidden and cell
+    states are views of one scratch pair that every group shares: the
+    hidden states are valid only until the next group runs.
     """
     h, dtype = model.hidden, model.dtype
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
@@ -282,15 +288,17 @@ def _bilstm_forward(model, prefix, x, pack, keep, buffers=None):
     scale = np.full(4 * h, 0.5, dtype)
     scale[2 * h:3 * h] = 1.0
     shift = 1.0 - scale
-    prefixes = [f"{prefix}.{direction}" for direction in model.directions]
-    n, dirs = len(x), len(prefixes)
-    gates = _buffer(buffers, f"{prefix}.gates", (n, dirs, 4 * h), dtype)
-    for k, p in enumerate(prefixes):
+    units = [(f"{prefix}.{direction}", x) for prefix, x in layers
+             for direction in model.directions]
+    n, dirs = len(pack.gather), len(units)
+    key = "+".join(prefix for prefix, _ in layers)
+    gates = _buffer(buffers, f"{key}.gates", (n, dirs, 4 * h), dtype)
+    for k, (p, x) in enumerate(units):
         # every step's input projection in one GEMM; the loop adds only h_prev @ U.T
         np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
                   out=gates[:, k])
-    gates += np.stack([model.params[f"{p}.b"] for p in prefixes])
-    u_t = [model.params[f"{p}.U"].T for p in prefixes]
+    gates += np.stack([model.params[f"{p}.b"] for p, _ in units])
+    u_t = [model.params[f"{p}.U"].T for p, _ in units]
     # OpenBLAS rounds a one-row product, and at some sizes a two- or
     # three-row one, through other kernels than a larger product. A padded
     # batch multiplies all B rows at every step, so each step here
@@ -459,8 +467,18 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     differences see the same network. Only a train-mode cache holds the
     layer activations `backward` needs: each LSTM layer's gates, and layer
     1's input. `backward` rebuilds the cell and hidden states and layer 2's
-    input from them. An inference cache keeps none, so each LSTM layer's
-    gates and cell states are freed when it returns.
+    input from them. An inference cache keeps none, so the gates and cell
+    states of each `_bilstm_forward` call are freed when it returns.
+
+    The branches run in groups, one `_bilstm_forward` call per layer and
+    group. An inference batch of fewer than `GROUPED_BELOW` samples runs
+    every branch in one group: a step then multiplies at most 3 rows per
+    direction, so the time loop's cost is per-call overhead, and one loop
+    instead of three cuts it. A larger inference batch, and every train-mode
+    forward, runs one branch per group: at a large batch a grouped loop is
+    slower and holds every branch's gates at once, and a train step keeps
+    the dropout draw order, buffers and cache of one branch at a time. Each
+    layer's bytes are the same either way.
 
     `buffers`, a dict `train` makes once per call, holds each LSTM layer's
     gates and one cell, hidden and tanh(c) scratch that all layers share
@@ -490,23 +508,32 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     layer_buffers = buffers if train_mode else None
     cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
              "buffers": layer_buffers, "branches": {}}
+    dirs = len(model.directions)
+    grouped = not train_mode and bsz < GROUPED_BELOW
+    groups = [model.branches] if grouped else [(name,) for name in model.branches]
     branch_outputs = []
-    for name in model.branches:
-        stats = model.norm[name]
-        x = ((_packed(streams[name], pack) - stats["mean"]) / stats["std"]).astype(
-            model.dtype, copy=False)
-        h1, gates1 = _bilstm_forward(model, f"{name}.l1", x, pack, train_mode, layer_buffers)
-        l1 = (f"{name}.l1", x, gates1) if train_mode else None
-        keep = drop_mask(f"{name}.l1", (bsz, t_len, model.summary_dim)) if use_dropout else None
-        x = _layer2_input(h1, pack, keep)
-        h2, gates2 = _bilstm_forward(model, f"{name}.l2", x, pack, train_mode, layer_buffers)
-        # each direction's last row: forward at the last valid step, reverse at step 0
-        summary = h2[pack.last].reshape(bsz, -1)
-        branch_out, fc = _dense_forward(model, [f"{name}.fc"],
-                                        dropped(summary, f"{name}.summary"), dropped)
-        if train_mode:
-            cache["branches"][name] = (l1, gates2, fc)
-        branch_outputs.append(branch_out)
+    for group in groups:
+        # one layer's inputs at a time; layer 1's stay on only in a train-mode cache
+        layers = [(f"{name}.l1", ((_packed(streams[name], pack) - model.norm[name]["mean"])
+                                  / model.norm[name]["std"]).astype(model.dtype, copy=False))
+                  for name in group]
+        h1, gates1 = _bilstm_forward(model, layers, pack, train_mode, layer_buffers)
+        l1 = [layer + (gates1,) for layer in layers] if train_mode else None
+        keep_shape = (bsz, t_len, model.summary_dim)
+        layers = [(f"{name}.l2", _layer2_input(
+                      h1[:, j * dirs:(j + 1) * dirs], pack,
+                      drop_mask(f"{name}.l1", keep_shape) if use_dropout else None))
+                  for j, name in enumerate(group)]
+        h2, gates2 = _bilstm_forward(model, layers, pack, train_mode, layer_buffers)
+        del layers  # held to the return, they made batch-1 serving's peak RSS grow per request
+        for j, name in enumerate(group):
+            # each direction's last row: forward at the last valid step, reverse at step 0
+            summary = h2[pack.last, j * dirs:(j + 1) * dirs].reshape(bsz, -1)
+            branch_out, fc = _dense_forward(model, [f"{name}.fc"],
+                                            dropped(summary, f"{name}.summary"), dropped)
+            if train_mode:  # a train step's groups are single branches
+                cache["branches"][name] = (l1[j], gates2, fc)
+            branch_outputs.append(branch_out)
 
     head = [f"head.{i}" for i in range(len(model.head))] + ["head.out"]
     logits, head_layers = _dense_forward(model, head, np.concatenate(branch_outputs, axis=1),

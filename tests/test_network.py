@@ -73,7 +73,7 @@ def run_layer(model, x, lengths, buffers=None):
     dtype; returns (pack, hidden, layer cache (prefix, input, gates))."""
     pack = network._pack(np.arange(x.shape[1]) < np.array(lengths)[:, None])
     x = network._packed(x, pack).astype(model.dtype)
-    hidden, gates = network._bilstm_forward(model, "b.l1", x, pack, True, buffers)
+    hidden, gates = network._bilstm_forward(model, [("b.l1", x)], pack, True, buffers)
     return pack, hidden, ("b.l1", x, gates)
 
 
@@ -358,6 +358,33 @@ def test_train_mode_forwards_share_one_set_of_layer_buffers():
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("lengths", [[7], [7, 3], [2, 7, 7], [9, 1, 4, 9, 2]])
+def test_grouped_layers_match_each_layer_alone(lengths, bidirectional):
+    # a small inference batch runs every branch's layer in one time loop;
+    # each direction keeps its own GEMM and its own U product there, so at
+    # every min(B, 4) row count a layer gives the bytes it gives alone
+    dims = {"a": 5, "b": 9, "c": 30}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(80 + len(lengths))
+        model = init_model(tuple(dims), dims, classes=2, hidden=100, fc_out=2, head=(),
+                           dropout=0.0, bidirectional=bidirectional, dtype=dtype)
+        for key in model.params:
+            if ".l1." in key:
+                model.params[key] = rng.normal(0, 0.7, model.params[key].shape).astype(dtype)
+        pack = network._pack(np.arange(max(lengths)) < np.array(lengths)[:, None])
+        layers = [(f"{name}.l1", rng.normal(size=(len(pack.gather), d)).astype(dtype))
+                  for name, d in dims.items()]
+        hidden, gates = network._bilstm_forward(model, layers, pack, True)
+        dirs = len(model.directions)
+        assert hidden.shape == (sum(lengths), len(dims) * dirs, model.hidden)
+        for j, layer in enumerate(layers):
+            alone, alone_gates = network._bilstm_forward(model, [layer], pack, True)
+            own = slice(j * dirs, (j + 1) * dirs)
+            assert hidden[:, own].tobytes() == alone.tobytes(), (dtype, layer[0])
+            assert gates[:, own].tobytes() == alone_gates.tobytes(), (dtype, layer[0])
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("lengths", [[1], [7, 4, 1, 6], [9, 1, 1, 3, 9, 2]])
 def test_rebuilt_states_match_the_forward_bytes(lengths, bidirectional):
     # both layers of a branch run on one shared scratch, so layer 1's states
@@ -375,7 +402,7 @@ def test_rebuilt_states_match_the_forward_bytes(lengths, bidirectional):
         states1 = [buffers[key][:h1.size].reshape(h1.shape).copy() for key in ("cell", "hidden")]
         keep = (rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5).astype(dtype)
         x2 = network._layer2_input(h1, pack, keep)
-        h2, gates2 = network._bilstm_forward(model, "b.l2", x2, pack, True, buffers)
+        h2, gates2 = network._bilstm_forward(model, [("b.l2", x2)], pack, True, buffers)
         states2 = [buffers[key][:h2.size].reshape(h2.shape).copy() for key in ("cell", "hidden")]
         assert np.shares_memory(h1, h2) and h2.dtype == dtype
 
@@ -1184,24 +1211,30 @@ def test_checkpoint_with_a_bad_value_is_refused(array, value, tmp_path):
 
 
 def test_inference_forward_keeps_no_backward_cache():
-    # the reference architecture at evaluate's batch size; without dropout
-    # both modes compute the same probabilities
+    # the reference architecture at batch 1, at the largest batch whose
+    # inference runs all branches in one LSTM loop, and at evaluate's batch
+    # size; without dropout both modes compute the same probabilities, and a
+    # train-mode forward runs one branch per loop
     dims = {"global": 30, "finger": 100, "skeleton": 66}
     model = init_model(tuple(dims), dims, classes=14, dropout=0.0, seed=3)
-    rng = np.random.default_rng(4)
-    streams = {name: rng.normal(0, 1, (64, 38, dim)) for name, dim in dims.items()}
-    mask = np.ones((64, 38), dtype=bool)
-    probs, peaks = {}, {}
-    for train_mode in (False, True):
-        tracemalloc.start()
-        probs[train_mode], cache = forward(model, streams, mask, train_mode=train_mode)
-        peaks[train_mode] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert cache["branches"] and "head" in cache
-    _, cache = forward(model, streams, mask)
-    assert cache["branches"] == {} and "head" not in cache
-    assert peaks[False] < peaks[True] / 2, peaks
-    assert probs[False].tobytes() == probs[True].tobytes()
+    for batch in (1, 3, 64):
+        rng = np.random.default_rng(4)
+        streams = {name: rng.normal(0, 1, (batch, 38, dim)) for name, dim in dims.items()}
+        mask = np.ones((batch, 38), dtype=bool)
+        probs, peaks = {}, {}
+        for train_mode in (False, True):
+            tracemalloc.start()
+            probs[train_mode], cache = forward(model, streams, mask, train_mode=train_mode)
+            peaks[train_mode] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert cache["branches"] and "head" in cache
+        _, cache = forward(model, streams, mask)
+        assert cache["branches"] == {} and "head" not in cache
+        # one branch's LSTM activations at a time at batch 64; a grouped
+        # batch holds every branch's gates of one layer at once, still less
+        # than a train-mode cache keeps
+        assert peaks[False] < peaks[True] / (2 if batch == 64 else 1), (batch, peaks)
+        assert probs[False].tobytes() == probs[True].tobytes(), batch
 
 
 def test_unidirectional_mode_works():
