@@ -26,6 +26,7 @@ from .evaluation import (
     collapse_28_to_14,
     confusion_matrix,
     larfd,
+    render_summary,
     run_loocv,
     write_report,
 )
@@ -46,7 +47,7 @@ from .global_motion import (
     frame_global_pose,
     global_features,
 )
-from .hand_model import DEFAULT_TEMPLATE, HandTemplate, forward_kinematics, reference_palm
+from .hand_model import forward_kinematics, hand_pose, reference_palm
 from .network import (
     NetworkModel,
     Sample,
@@ -63,8 +64,6 @@ from .network import (
     train,
 )
 from .skeleton import (
-    DEFAULT_LAYOUT,
-    JointLayout,
     SkeletonSequence,
     normalize_skeleton_branch,
     palm_radius,

@@ -19,7 +19,6 @@ from .features import (
     write_feature_file,
 )
 from .network import Sample, save_checkpoint
-from .skeleton import DEFAULT_LAYOUT
 from .synth import builtin_scripts, export_dhg_tree, generate_dataset, parse_scripts
 
 
@@ -95,8 +94,7 @@ def cmd_extract(args, parser) -> int:
         # A bad or unreadable sequence is reported and skipped; an OSError on
         # output aborts.
         try:
-            streams = extract_features(load_sequence(entry, DEFAULT_LAYOUT), config,
-                                       DEFAULT_LAYOUT, kinds=kinds)
+            streams = extract_features(load_sequence(entry), config, kinds=kinds)
         except (GestrecError, OSError) as e:
             reason = getattr(e, "strerror", None) or str(e)
             if not reason.startswith(str(entry.path)):
@@ -120,9 +118,7 @@ def cmd_train(args) -> int:
         Sample(streams, class_of(meta["gesture"], meta["finger"], args.classes))
         for meta, streams in grouped
     ]
-    first_streams = grouped[0][1]
-    dims = {name: first_streams[name].shape[1] for name in config.branches}
-    model, log = train_from_config(config, samples, dims, args.classes, args.seed,
+    model, log = train_from_config(config, samples, args.classes, args.seed,
                                    record_accuracy=True)
     save_checkpoint(model, args.out)
     log_path = args.log or Path(str(args.out) + ".log.csv")
@@ -139,7 +135,7 @@ def cmd_train(args) -> int:
 def cmd_loocv(args) -> int:
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
-    sequences = [load_sequence(e, DEFAULT_LAYOUT) for e in index.entries]
+    sequences = [load_sequence(e) for e in index.entries]
     report = run_loocv(sequences, config, classes=args.classes, seed=args.seed,
                        progress=print)
     write_report(report, args.out)

@@ -66,14 +66,6 @@ class PipelineConfig:
             raise ConfigError(f"lags must be positive: {self.lags}")
         check_optimization(self, ConfigError)
 
-    @property
-    def global_dim(self) -> int:
-        return 12 + 6 * len(self.lags)
-
-    @property
-    def finger_dim(self) -> int:
-        return 40 + 20 * len(self.lags)
-
 
 def check_optimization(config, error: type[GestrecError]) -> None:
     """Raise `error` unless the optimization fields of `config`, a

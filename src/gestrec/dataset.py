@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GestrecError
-from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, WrongJointCount
+from .skeleton import JOINT_COUNT, SkeletonSequence, WrongJointCount
 
 
 class DatasetError(GestrecError):
@@ -104,10 +104,9 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
     return DatasetIndex(tuple(entries))
 
 
-def load_sequence(entry: DatasetEntry,
-                  layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
+def load_sequence(entry: DatasetEntry) -> SkeletonSequence:
     """Parse one skeleton file into a labelled sequence."""
-    width = 3 * layout.joint_count
+    width = 3 * JOINT_COUNT
     try:
         with open(entry.path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -118,7 +117,7 @@ def load_sequence(entry: DatasetEntry,
     values = _convert_whole(lines, width)
     if values is None:
         raise _first_error(entry.path, lines, width)
-    positions = values.reshape(len(values), layout.joint_count, 3)
+    positions = values.reshape(len(values), JOINT_COUNT, 3)
     return SkeletonSequence(positions, gesture=entry.gesture, finger=entry.finger,
                             subject=entry.subject, trial=entry.trial)
 

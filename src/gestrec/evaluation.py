@@ -11,11 +11,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import DatasetEntry, DatasetIndex, make_loocv_splits
+from .dataset import DatasetEntry, DatasetIndex, EmptyDataset, make_loocv_splits
 from .errors import GestrecError
 from .features import extract_features
-from .network import EpochStats, NetworkModel, Sample, TrainConfig, evaluate, init_model, train
-from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence
+from .network import (
+    EpochStats,
+    NetworkModel,
+    Sample,
+    ShapeMismatch,
+    TrainConfig,
+    evaluate,
+    init_model,
+    train,
+)
+from .skeleton import SkeletonSequence
 
 GESTURE_NAMES_14 = (
     "Grab", "Tap", "Expand", "Pinch", "RotationCW", "RotationCCW",
@@ -171,16 +180,23 @@ def _split_accuracies(preds, labels, config: PipelineConfig, classes: int):
     return out
 
 
-def train_from_config(config: PipelineConfig, samples: list[Sample],
-                      input_dims: dict[str, int], classes: int, seed: int,
+def train_from_config(config: PipelineConfig, samples: list[Sample], classes: int, seed: int,
                       record_accuracy: bool = False) -> tuple[NetworkModel, list[EpochStats]]:
     """Build the model `config` describes and train it on `samples`.
 
-    `seed` drives the weights, the batch order and dropout; `input_dims` may
-    also list branches the config leaves out. `record_accuracy` fills every
-    epoch's train accuracy (see `TrainConfig`). Returns (model, epoch log).
+    Each branch takes the width of its stream in the first sample. `seed`
+    drives the weights, the batch order and dropout. `record_accuracy` fills
+    every epoch's train accuracy (see `TrainConfig`). Returns (model, epoch
+    log).
     """
-    model = init_model(config.branches, {b: input_dims[b] for b in config.branches}, classes,
+    if not samples:
+        raise EmptyDataset("no training samples")
+    first = samples[0].streams
+    missing = [b for b in config.branches if np.ndim(first.get(b)) != 2]
+    if missing:
+        raise ShapeMismatch(f"first sample has no (frames, dims) stream for {missing}")
+    input_dims = {b: np.shape(first[b])[1] for b in config.branches}
+    model = init_model(config.branches, input_dims, classes,
                        hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
                        dropout=config.dropout, bidirectional=config.bidirectional, seed=seed)
     train_cfg = TrainConfig(
@@ -192,9 +208,8 @@ def train_from_config(config: PipelineConfig, samples: list[Sample],
 
 
 def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = PipelineConfig(),
-              classes: int = 14, seed: int = 0,
-              layout: JointLayout = DEFAULT_LAYOUT,
-              progress=None, features: list[dict] | None = None) -> EvaluationReport:
+              classes: int = 14, seed: int = 0, progress=None,
+              features: list[dict] | None = None) -> EvaluationReport:
     """Full pipeline: features, per-subject splits, training, metrics.
 
     Each split trains a fresh model (seeded from `seed` + held-out subject)
@@ -213,13 +228,11 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     splits = make_loocv_splits(index)
 
     if features is None:
-        features = [extract_features(seq, config, layout) for seq in sequences]
+        features = [extract_features(seq, config) for seq in sequences]
     elif len(features) != len(sequences):
         raise EvaluationError(f"features has {len(features)} entries for "
                               f"{len(sequences)} sequences")
     labels0 = [class_of(s.gesture, s.finger, classes) for s in sequences]
-    input_dims = {"global": config.global_dim, "finger": config.finger_dim,
-                  "skeleton": 3 * layout.joint_count}
 
     results = []
     pooled_preds: list[int] = []
@@ -232,7 +245,7 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
         train_samples = [Sample(features[i], labels0[i]) for i in train_idx]
         test_samples = [Sample(features[i], labels0[i]) for i in test_idx]
 
-        model, log = train_from_config(config, train_samples, input_dims, classes,
+        model, log = train_from_config(config, train_samples, classes,
                                        seed + split.held_out_subject)
 
         preds0, _ = evaluate(model, test_samples)

@@ -10,12 +10,9 @@ from . import container
 from .config import PipelineConfig
 from .errors import GestrecError
 from .finger_motion import finger_features
-from .geometry import kabsch_align
 from .global_motion import dad_config_for_sequence, global_features
-from .hand_model import DEFAULT_TEMPLATE, HandTemplate, reference_palm
+from .hand_model import hand_pose
 from .skeleton import (
-    DEFAULT_LAYOUT,
-    JointLayout,
     SkeletonSequence,
     normalize_skeleton_branch,
     validate_sequence,
@@ -31,25 +28,22 @@ class FeatureError(GestrecError):
 
 
 def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineConfig(),
-                     layout: JointLayout = DEFAULT_LAYOUT,
-                     template: HandTemplate = DEFAULT_TEMPLATE,
                      kinds: tuple[str, ...] = FEATURE_KINDS) -> dict[str, np.ndarray]:
     """All requested per-frame feature streams for one validated sequence."""
-    validate_sequence(seq, layout)
+    validate_sequence(seq)
     streams = {}
     if "global" in kinds:
-        dad = dad_config_for_sequence(seq, layout, config.dad_bins, config.sigma_scale)
+        dad = dad_config_for_sequence(seq, config.dad_bins, config.sigma_scale)
     if "global" in kinds or "finger" in kinds:
         # one rigid pose per sequence serves both motion streams
-        pose = kabsch_align(seq.positions[:, list(layout.global_indices)],
-                            reference_palm(template))
+        pose = hand_pose(seq.positions)
     if "global" in kinds:
-        streams["global"] = global_features(seq, layout, dad, config.lags,
-                                            config.euler_convention, pose=pose)
+        streams["global"] = global_features(seq, dad, config.lags, config.euler_convention,
+                                            pose=pose)
     if "finger" in kinds:
-        streams["finger"] = finger_features(seq, layout, template, config.lags, pose=pose)
+        streams["finger"] = finger_features(seq, config.lags, pose=pose)
     if "skeleton" in kinds:
-        streams["skeleton"] = normalize_skeleton_branch(seq, layout)
+        streams["skeleton"] = normalize_skeleton_branch(seq)
     return streams
 
 

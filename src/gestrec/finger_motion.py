@@ -6,9 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GestrecError
-from .geometry import DEFAULT_LAGS, kabsch_align, with_differences
-from .hand_model import DEFAULT_TEMPLATE, PALM_NORMAL, HandTemplate, reference_palm
-from .skeleton import DEFAULT_LAYOUT, FINGER_NAMES, JointLayout, SkeletonSequence
+from .geometry import DEFAULT_LAGS, with_differences
+from .hand_model import PALM_NORMAL, REST_DIRECTIONS, hand_pose
+from .skeleton import FINGER_NAMES, FINGERS, SkeletonSequence
 
 
 class ZeroLengthBone(GestrecError):
@@ -20,17 +20,16 @@ class ZeroLengthBone(GestrecError):
         super().__init__(f"{where}zero-length {segment} bone on {finger}")
 
 
-def hand_local_frame(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
-                     template: HandTemplate = DEFAULT_TEMPLATE):
-    """Undo the global rigid pose of a frame (J, 3) or of each frame of a
-    stack (T, J, 3).
+def hand_local_frame(frame: np.ndarray):
+    """Undo the hand's rigid pose (`hand_pose`) of a frame (22, 3) or of each
+    frame of a stack (T, 22, 3).
 
     Returns (local_joints, rotation, translation) where
     local = R^T (p - t) for every joint, so the palm ends up centered at the
     origin facing +z regardless of where the hand is in the world.
     """
     pts = np.asarray(frame, dtype=np.float64)
-    rot, trans = kabsch_align(pts[..., list(layout.global_indices), :], reference_palm(template))
+    rot, trans = hand_pose(pts)
     return _to_local(pts, rot, trans), rot, trans
 
 
@@ -42,8 +41,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
 
-def inverse_kinematics(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
-                       template: HandTemplate = DEFAULT_TEMPLATE) -> np.ndarray:
+def inverse_kinematics(frame: np.ndarray) -> np.ndarray:
     """20 joint angles of a hand frame, (flex, abd, pip, dip) per finger.
 
     `frame` is (J, 3), giving (20,), or a stack (T, J, 3), giving (T, 20).
@@ -54,14 +52,13 @@ def inverse_kinematics(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
     lateral axis. Exactly inverts `forward_kinematics` inside the joint box
     where |MCP flexion| < pi/2.
     """
-    local, _, _ = hand_local_frame(frame, layout, template)
-    return _local_joint_angles(local, layout, template)
+    local, _, _ = hand_local_frame(frame)
+    return _local_joint_angles(local)
 
 
-def _local_joint_angles(local: np.ndarray, layout: JointLayout,
-                        template: HandTemplate) -> np.ndarray:
+def _local_joint_angles(local: np.ndarray) -> np.ndarray:
     """`inverse_kinematics` of joints already in the hand-local frame."""
-    bones = np.diff(local[..., np.array(layout.fingers), :], axis=-2)   # (..., 5, 3, 3)
+    bones = np.diff(local[..., np.array(FINGERS), :], axis=-2)   # (..., 5, 3, 3)
     lengths = np.linalg.norm(bones, axis=-1)
     short = lengths < 1e-12
     if short.any():
@@ -70,7 +67,7 @@ def _local_joint_angles(local: np.ndarray, layout: JointLayout,
     proximal, middle, distal = np.moveaxis(bones / lengths[..., None], -2, 0)
 
     n = PALM_NORMAL
-    rest = template.rest_directions
+    rest = REST_DIRECTIONS
     in_plane = proximal - _dot(proximal, n)[..., None] * n
     plane_norm = np.linalg.norm(in_plane, axis=-1)[..., None]
     # a finger along the palm normal has no abduction: keep the rest direction,
@@ -87,20 +84,15 @@ def _local_joint_angles(local: np.ndarray, layout: JointLayout,
     return angles
 
 
-def finger_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
-                    template: HandTemplate = DEFAULT_TEMPLATE,
-                    lags: tuple[int, ...] = DEFAULT_LAGS, *,
+def finger_features(seq: SkeletonSequence, lags: tuple[int, ...] = DEFAULT_LAGS, *,
                     pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per-frame finger motion features, shape (T, 20 + 20 + 20*len(lags)).
 
     Joint angles per frame, their offset from frame 1, and differences to the
     frames `lags` steps back (clamped to frame 1); all differences wrapped to
-    (-pi, pi]. `pose` is the sequence's Kabsch (R, t) against the template's
-    reference palm, as `kabsch_align` returns it; without it the pose is
-    solved here. Expects a validated sequence.
+    (-pi, pi]. `pose` is the sequence's (R, t) as `hand_pose` returns it;
+    without it the pose is solved here. Expects a validated sequence.
     """
     if pose is None:
-        angles = inverse_kinematics(seq.positions, layout, template)
-    else:
-        angles = _local_joint_angles(_to_local(seq.positions, *pose), layout, template)
-    return with_differences(angles, lags)
+        pose = hand_pose(seq.positions)
+    return with_differences(_local_joint_angles(_to_local(seq.positions, *pose)), lags)

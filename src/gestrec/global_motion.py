@@ -3,7 +3,7 @@ amplitude binning, and offset/dynamic pose differences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -12,12 +12,11 @@ from .errors import InvalidConfig
 from .geometry import (
     DEFAULT_LAGS,
     cartesian_to_spherical,
-    kabsch_align,
     rotation_to_euler,
     with_differences,
 )
-from .hand_model import DEFAULT_TEMPLATE, reference_palm
-from .skeleton import DEFAULT_LAYOUT, JointLayout, SkeletonSequence, palm_radius
+from .hand_model import hand_pose
+from .skeleton import SkeletonSequence, palm_radius
 
 
 @dataclass(frozen=True)
@@ -33,23 +32,17 @@ class GlobalPose:
 class DadConfig:
     """Distance-adaptive discretization of translation amplitude.
 
-    `thresholds` are the equal-Gaussian-mass bin edges on [0, sigma]; the last
-    edge equals sigma and larger amplitudes clamp into the top bin.
+    `thresholds` are the `dad_thresholds(bins, sigma)` bin edges, equal
+    Gaussian mass each on [0, sigma]; the last edge equals sigma and larger
+    amplitudes clamp into the top bin.
     """
 
     bins: int
     sigma: float
-    thresholds: np.ndarray
+    thresholds: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.bins < 1 or not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidConfig(f"bins={self.bins}, sigma={self.sigma}")
-        edges = np.asarray(self.thresholds, dtype=np.float64)
-        if edges.shape != (self.bins,):
-            raise InvalidConfig(f"expected {self.bins} thresholds, got {edges.shape}")
-        if np.any(np.diff(edges) <= 0):
-            raise InvalidConfig("thresholds must be strictly increasing")
-        object.__setattr__(self, "thresholds", edges)
+        object.__setattr__(self, "thresholds", dad_thresholds(self.bins, self.sigma))
 
 
 def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
@@ -70,14 +63,10 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     return np.array(edges + [sigma], dtype=np.float64)
 
 
-def make_dad_config(bins: int, sigma: float) -> DadConfig:
-    return DadConfig(bins, sigma, dad_thresholds(bins, sigma))
-
-
-def dad_config_for_sequence(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
-                            bins: int = 5, sigma_scale: float = 1.5) -> DadConfig:
+def dad_config_for_sequence(seq: SkeletonSequence, bins: int = 5,
+                            sigma_scale: float = 1.5) -> DadConfig:
     """Per-sequence config with sigma = sigma_scale * first-frame palm radius."""
-    return make_dad_config(bins, sigma_scale * palm_radius(seq.positions[0], layout))
+    return DadConfig(bins, sigma_scale * palm_radius(seq.positions[0]))
 
 
 def discretize_rho(rho, config: DadConfig):
@@ -88,23 +77,17 @@ def discretize_rho(rho, config: DadConfig):
     return np.minimum(np.searchsorted(config.thresholds, rho, side="left") + 1, config.bins)
 
 
-def frame_global_pose(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT,
-                      reference: np.ndarray | None = None,
-                      convention: str = "xyz") -> GlobalPose:
-    """Kabsch-estimated rigid pose of one frame (J, 3), or of each frame of a
-    stack (T, J, 3), against the reference palm."""
-    if reference is None:
-        reference = reference_palm(DEFAULT_TEMPLATE)
-    points = np.asarray(frame, dtype=np.float64)[..., list(layout.global_indices), :]
-    return _global_pose(*kabsch_align(points, reference), convention)
+def frame_global_pose(frame: np.ndarray, convention: str = "xyz") -> GlobalPose:
+    """The hand's rigid pose (`hand_pose`) of one frame (22, 3), or of each
+    frame of a stack (T, 22, 3), as Euler angles and a spherical translation."""
+    return _global_pose(*hand_pose(frame), convention)
 
 
 def _global_pose(rot: np.ndarray, trans: np.ndarray, convention: str) -> GlobalPose:
     return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
 
 
-def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
-                    config: DadConfig | None = None,
+def global_features(seq: SkeletonSequence, config: DadConfig | None = None,
                     lags: tuple[int, ...] = DEFAULT_LAGS,
                     convention: str = "xyz", *,
                     pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -112,17 +95,15 @@ def global_features(seq: SkeletonSequence, layout: JointLayout = DEFAULT_LAYOUT,
 
     Each frame yields [rho_bin, theta, phi, r_x, r_y, r_z], its offset from
     frame 1, and its differences to the frames `lags` steps back (clamped to
-    frame 1). `pose` is the sequence's Kabsch (R (T, 3, 3), t (T, 3)) against
-    the reference palm, as `kabsch_align` returns it; without it the pose is
-    solved here against the default template's palm. Expects a validated
+    frame 1). `pose` is the sequence's (R (T, 3, 3), t (T, 3)) as `hand_pose`
+    returns it; without it the pose is solved here. Expects a validated
     sequence.
     """
     if config is None:
-        config = dad_config_for_sequence(seq, layout)
+        config = dad_config_for_sequence(seq)
     if pose is None:
-        rigid = frame_global_pose(seq.positions, layout, convention=convention)
-    else:
-        rigid = _global_pose(*pose, convention)
+        pose = hand_pose(seq.positions)
+    rigid = _global_pose(*pose, convention)
     rho, theta, azimuth = rigid.translation_spherical
     phi = np.stack([discretize_rho(rho, config), theta, azimuth, *rigid.rotation], axis=1)
     return with_differences(phi, lags, first_angle=1)

@@ -1,4 +1,5 @@
-"""Kinematic hand template: rest pose, reference palm and forward kinematics.
+"""Kinematic hand template: rest pose, reference palm, the hand's rigid pose
+and forward kinematics.
 
 The template is a flat right hand in canonical pose: palm plane = x-y plane,
 palm normal along +z (toward the camera), fingers fanning out radially. The
@@ -9,12 +10,10 @@ alignment reference used for global pose estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import euler_to_matrix, rotate_about_axis
-from .skeleton import DEFAULT_LAYOUT, FINGER_NAMES, JointLayout
+from .geometry import euler_to_matrix, kabsch_align, rotate_about_axis
+from .skeleton import FINGER_NAMES, FINGERS, GLOBAL_POINTS, JOINT_COUNT, MCPS, WRIST
 
 PALM_ARC_RADIUS = 0.04
 WRIST_POSITION = np.array([0.0, -0.08, 0.0])
@@ -22,67 +21,58 @@ FINGER_AZIMUTH_DEG = (-40.0, -20.0, 0.0, 20.0, 40.0)
 PALM_NORMAL = np.array([0.0, 0.0, 1.0])
 
 # (proximal, middle, distal) bone lengths in meters, thumb..pinky
-BONE_LENGTHS = (
+BONE_LENGTHS = np.array((
     (0.040, 0.032, 0.028),
     (0.040, 0.025, 0.022),
     (0.043, 0.028, 0.024),
     (0.040, 0.026, 0.023),
     (0.032, 0.020, 0.019),
-)
+))
 
 DOF_NAMES = ("flex", "abd", "pip", "dip")
 ANGLE_CHANNELS = tuple(f"{f}_{d}" for f in FINGER_NAMES for d in DOF_NAMES)
 GLOBAL_CHANNELS = ("rx", "ry", "rz", "tx", "ty", "tz")
 
-
-def finger_rest_directions() -> np.ndarray:
-    """Unit in-plane direction each finger extends along at rest, (5, 3)."""
-    az = np.deg2rad(FINGER_AZIMUTH_DEG)
-    return np.stack([np.sin(az), np.cos(az), np.zeros(5)], axis=1)
+_AZIMUTH = np.deg2rad(FINGER_AZIMUTH_DEG)
+# unit in-plane direction each finger extends along at rest, (5, 3)
+REST_DIRECTIONS = np.stack([np.sin(_AZIMUTH), np.cos(_AZIMUTH), np.zeros(5)], axis=1)
 
 
-@dataclass(frozen=True)
-class HandTemplate:
-    """Rest-pose joint positions plus per-finger bone lengths."""
-
-    rest_positions: np.ndarray           # (J, 3)
-    bone_lengths: np.ndarray             # (5, 3)
-    rest_directions: np.ndarray          # (5, 3) unit vectors
-    layout: JointLayout = DEFAULT_LAYOUT
-
-    def __post_init__(self):
-        if np.any(self.bone_lengths <= 0):
-            raise ValueError("bone lengths must be positive")
-
-
-def default_template(layout: JointLayout = DEFAULT_LAYOUT) -> HandTemplate:
-    dirs = finger_rest_directions()
-    lengths = np.array(BONE_LENGTHS)
-    pos = np.zeros((layout.joint_count, 3))
-    pos[layout.wrist_index] = WRIST_POSITION
-    pos[layout.palm_index] = 0.0
-    for f, quad in enumerate(layout.fingers):
-        pos[quad[0]] = PALM_ARC_RADIUS * dirs[f]
+def _rest_positions() -> np.ndarray:
+    pos = np.zeros((JOINT_COUNT, 3))
+    pos[WRIST] = WRIST_POSITION
+    pos[list(MCPS)] = PALM_ARC_RADIUS * REST_DIRECTIONS
     # center the seven global-status points at the origin, then grow the
     # finger chains from the centered MCPs (the same order of operations as
     # forward kinematics, so FK at zero angles is bit-exact)
-    pos -= pos[list(layout.global_indices)].mean(axis=0)
-    for f, quad in enumerate(layout.fingers):
-        pos[quad[1]] = pos[quad[0]] + lengths[f, 0] * dirs[f]
-        pos[quad[2]] = pos[quad[1]] + lengths[f, 1] * dirs[f]
-        pos[quad[3]] = pos[quad[2]] + lengths[f, 2] * dirs[f]
-    return HandTemplate(pos, lengths, dirs, layout)
+    pos -= pos[list(GLOBAL_POINTS)].mean(axis=0)
+    mcp, pip, dip, tip = np.array(FINGERS).T
+    pos[pip] = pos[mcp] + BONE_LENGTHS[:, 0:1] * REST_DIRECTIONS
+    pos[dip] = pos[pip] + BONE_LENGTHS[:, 1:2] * REST_DIRECTIONS
+    pos[tip] = pos[dip] + BONE_LENGTHS[:, 2:3] * REST_DIRECTIONS
+    return pos
 
 
-DEFAULT_TEMPLATE = default_template()
+REST_POSITIONS = _rest_positions()     # (22, 3)
+for _constant in (BONE_LENGTHS, REST_DIRECTIONS, REST_POSITIONS):
+    _constant.flags.writeable = False
 
 
-def reference_palm(template: HandTemplate = DEFAULT_TEMPLATE) -> np.ndarray:
+def reference_palm() -> np.ndarray:
     """The (7, 3) canonical wrist/palm/MCP point set, centroid at the origin."""
-    return template.rest_positions[list(template.layout.global_indices)].copy()
+    return REST_POSITIONS[list(GLOBAL_POINTS)]
 
 
-def forward_kinematics(template: HandTemplate, global_pose, angles) -> np.ndarray:
+def hand_pose(frames) -> tuple[np.ndarray, np.ndarray]:
+    """The hand's rigid pose: the Kabsch (R, t) that carries the reference
+    palm onto the wrist, palm and MCP joints of a frame (22, 3), giving
+    R (3, 3) and t (3,), or of each frame of a stack (T, 22, 3), giving
+    R (T, 3, 3) and t (T, 3). Both motion streams are built from it."""
+    points = np.asarray(frames, dtype=np.float64)[..., list(GLOBAL_POINTS), :]
+    return kabsch_align(points, reference_palm())
+
+
+def forward_kinematics(global_pose, angles) -> np.ndarray:
     """Pose the hand template and return world-space joints.
 
     `global_pose` is 6 values: Euler rotation (rx, ry, rz) in the intrinsic
@@ -99,16 +89,15 @@ def forward_kinematics(template: HandTemplate, global_pose, angles) -> np.ndarra
     pose = np.asarray(global_pose, dtype=np.float64)
     th = np.asarray(angles, dtype=np.float64)
     flex, abd, pip, dip = np.moveaxis(th.reshape(th.shape[:-1] + (5, 4)), -1, 0)
-    u1 = rotate_about_axis(template.rest_directions, PALM_NORMAL, abd)
+    u1 = rotate_about_axis(REST_DIRECTIONS, PALM_NORMAL, abd)
     lateral = np.cross(PALM_NORMAL, u1)
     proximal = rotate_about_axis(u1, lateral, flex)
     middle = rotate_about_axis(proximal, lateral, pip)
     distal = rotate_about_axis(middle, lateral, dip)
 
-    mcp, pip_joint, dip_joint, tip = np.array(template.layout.fingers).T
-    lengths = template.bone_lengths[..., None]
-    local = np.broadcast_to(template.rest_positions,
-                            th.shape[:-1] + template.rest_positions.shape).copy()
+    mcp, pip_joint, dip_joint, tip = np.array(FINGERS).T
+    lengths = BONE_LENGTHS[..., None]
+    local = np.broadcast_to(REST_POSITIONS, th.shape[:-1] + REST_POSITIONS.shape).copy()
     local[..., pip_joint, :] = local[..., mcp, :] + lengths[:, 0] * proximal
     local[..., dip_joint, :] = local[..., pip_joint, :] + lengths[:, 1] * middle
     local[..., tip, :] = local[..., dip_joint, :] + lengths[:, 2] * distal

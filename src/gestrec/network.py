@@ -702,15 +702,17 @@ def pad_batch(model: NetworkModel, samples: list[Sample]):
     return streams, mask
 
 
-def fit_normalization(model: NetworkModel, samples: list[Sample],
-                      skip: tuple[str, ...] = ("skeleton",)) -> None:
-    """Per-dimension z-score statistics from the training set.
+# The raw-skeleton stream is already scaled per sequence during feature
+# extraction, so its branch keeps identity normalization stats.
+UNNORMALIZED_BRANCHES = ("skeleton",)
+EVAL_BATCH = 64  # samples per inference-mode forward in `evaluate`
 
-    The raw-skeleton branch keeps identity stats: its scaling is already done
-    per sequence during feature extraction.
-    """
+
+def fit_normalization(model: NetworkModel, samples: list[Sample]) -> None:
+    """Per-dimension z-score statistics from the training set, for every
+    branch but those of `UNNORMALIZED_BRANCHES`."""
     for name in model.branches:
-        if name in skip:
+        if name in UNNORMALIZED_BRANCHES:
             model.norm[name] = {"mean": np.zeros(model.input_dims[name]),
                                 "std": np.ones(model.input_dims[name])}
             continue
@@ -720,14 +722,13 @@ def fit_normalization(model: NetworkModel, samples: list[Sample],
                             "std": np.maximum(std, 1e-8)}
 
 
-def evaluate(model: NetworkModel, samples: list[Sample], batch_size: int = 64):
-    """Inference-mode predictions; returns (predicted labels, probabilities)."""
-    if batch_size < 1:
-        raise NetworkError(f"batch_size must be at least 1, got {batch_size}")
+def evaluate(model: NetworkModel, samples: list[Sample]):
+    """Inference-mode predictions in batches of `EVAL_BATCH`; returns
+    (predicted labels, probabilities)."""
     preds = np.empty(len(samples), dtype=int)
     all_probs = np.empty((len(samples), model.classes))
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[start:start + EVAL_BATCH]
         streams, mask = pad_batch(model, chunk)
         probs, _ = forward(model, streams, mask, train_mode=False)
         preds[start:start + len(chunk)] = probs.argmax(axis=1)

@@ -45,48 +45,21 @@ class ZeroAmplitude(SkeletonError):
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
 
-@dataclass(frozen=True)
-class JointLayout:
-    """Joint indexing convention for a hand skeleton.
-
-    Each finger is a quadruple (base/MCP, PIP, DIP, tip). The default matches
-    the DHG-14/28 skeleton: wrist 0, palm 1, then four joints per finger in
-    thumb..pinky order.
-    """
-
-    joint_count: int = 22
-    wrist_index: int = 0
-    palm_index: int = 1
-    fingers: tuple[tuple[int, int, int, int], ...] = (
-        (2, 3, 4, 5),
-        (6, 7, 8, 9),
-        (10, 11, 12, 13),
-        (14, 15, 16, 17),
-        (18, 19, 20, 21),
-    )
-
-    def __post_init__(self):
-        indices = [self.wrist_index, self.palm_index]
-        for quad in self.fingers:
-            indices.extend(quad)
-        if len(set(indices)) != len(indices):
-            raise ValueError("joint indices must be distinct")
-        if max(indices) >= self.joint_count or min(indices) < 0:
-            raise ValueError("joint index out of range")
-        if self.joint_count == 22 and len(indices) != 22:
-            raise ValueError("22-joint layout must account for all joints")
-
-    @property
-    def mcp_indices(self) -> tuple[int, ...]:
-        return tuple(quad[0] for quad in self.fingers)
-
-    @property
-    def global_indices(self) -> tuple[int, ...]:
-        """Wrist, palm and the five MCPs: the points carrying global hand pose."""
-        return (self.wrist_index, self.palm_index) + self.mcp_indices
-
-
-DEFAULT_LAYOUT = JointLayout()
+# The DHG-14/28 skeleton: wrist 0, palm 1, then one (MCP, PIP, DIP, tip)
+# quadruple per finger in thumb..pinky order.
+JOINT_COUNT = 22
+WRIST = 0
+PALM = 1
+FINGERS = (
+    (2, 3, 4, 5),
+    (6, 7, 8, 9),
+    (10, 11, 12, 13),
+    (14, 15, 16, 17),
+    (18, 19, 20, 21),
+)
+MCPS = tuple(quad[0] for quad in FINGERS)
+# wrist, palm and the five MCPs: the points carrying the global hand pose
+GLOBAL_POINTS = (WRIST, PALM) + MCPS
 
 
 @dataclass
@@ -107,15 +80,13 @@ class SkeletonSequence:
         return self.positions.shape[0]
 
 
-def validate_sequence(seq: SkeletonSequence,
-                      layout: JointLayout = DEFAULT_LAYOUT) -> SkeletonSequence:
+def validate_sequence(seq: SkeletonSequence) -> SkeletonSequence:
     """Check frame and joint counts and finiteness; return the sequence unchanged."""
     pos = seq.positions
     if pos.ndim != 3 or pos.shape[2] != 3:
-        raise WrongJointCount(0, pos.shape[1] if pos.ndim >= 2 else 0,
-                              layout.joint_count)
-    if pos.shape[1] != layout.joint_count:
-        raise WrongJointCount(0, pos.shape[1], layout.joint_count)
+        raise WrongJointCount(0, pos.shape[1] if pos.ndim >= 2 else 0, JOINT_COUNT)
+    if pos.shape[1] != JOINT_COUNT:
+        raise WrongJointCount(0, pos.shape[1], JOINT_COUNT)
     if pos.shape[0] == 0:
         raise EmptySequence("sequence has no frames")
     finite = np.isfinite(pos).all(axis=2)
@@ -125,19 +96,18 @@ def validate_sequence(seq: SkeletonSequence,
     return seq
 
 
-def palm_radius(frame: np.ndarray, layout: JointLayout = DEFAULT_LAYOUT) -> float:
+def palm_radius(frame: np.ndarray) -> float:
     """Mean distance from the palm joint to the five MCP joints, in meters."""
     frame = np.asarray(frame, dtype=np.float64)
-    palm = frame[layout.palm_index]
-    mcps = frame[list(layout.mcp_indices)]
+    palm = frame[PALM]
+    mcps = frame[list(MCPS)]
     radius = float(np.mean(np.linalg.norm(mcps - palm, axis=1)))
     if not radius > 0.0:
         raise DegeneratePalm("all MCP joints coincide with the palm joint")
     return radius
 
 
-def normalize_skeleton_branch(seq: SkeletonSequence,
-                              layout: JointLayout = DEFAULT_LAYOUT) -> np.ndarray:
+def normalize_skeleton_branch(seq: SkeletonSequence) -> np.ndarray:
     """Preprocess a sequence for the raw-skeleton network branch.
 
     Subtracts the first-frame palm position from every joint, scales so the
@@ -145,7 +115,7 @@ def normalize_skeleton_branch(seq: SkeletonSequence,
     frame to 3J values (x, y, z per joint).
     """
     pos = seq.positions
-    origin = pos[0, layout.palm_index]
+    origin = pos[0, PALM]
     shifted = pos - origin
     amplitude = float(np.max(np.linalg.norm(shifted, axis=2)))
     if amplitude == 0.0:

@@ -16,9 +16,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .hand_model import (
     ANGLE_CHANNELS,
-    DEFAULT_TEMPLATE,
     GLOBAL_CHANNELS,
-    HandTemplate,
     forward_kinematics,
 )
 from .skeleton import SkeletonSequence
@@ -99,8 +97,7 @@ def builtin_scripts() -> list[GestureScript]:
 
 
 def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
-                     seed: int, template: HandTemplate = DEFAULT_TEMPLATE,
-                     ) -> list[SkeletonSequence]:
+                     seed: int) -> list[SkeletonSequence]:
     """Render scripts x subjects x trials skeleton sequences, reproducibly."""
     if len(scripts) < 2:
         raise InvalidConfig("need at least 2 distinct scripts")
@@ -128,7 +125,7 @@ def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
                 pose *= trial_amp
                 angles = np.clip(angles * trial_amp, -ANGLE_LIMIT, ANGLE_LIMIT)
 
-                positions = forward_kinematics(template, pose, angles)
+                positions = forward_kinematics(pose, angles)
                 positions += trial_rng.normal(0.0, script.noise_sigma, positions.shape)
                 sequences.append(SkeletonSequence(
                     positions, gesture=script.gesture, finger=script.finger,

@@ -16,7 +16,7 @@ from gestrec.features import extract_features
 from gestrec.finger_motion import inverse_kinematics
 from gestrec.geometry import kabsch_align
 from gestrec.global_motion import dad_thresholds
-from gestrec.hand_model import DEFAULT_TEMPLATE, forward_kinematics, reference_palm
+from gestrec.hand_model import forward_kinematics, reference_palm
 from gestrec.network import Sample, TrainConfig, evaluate, init_model, train
 from gestrec.synth import builtin_scripts, generate_dataset
 
@@ -71,13 +71,13 @@ def test_ik_fk_roundtrip_and_rigid_invariance():
     for _ in range(1000):
         angles = rng.uniform(-1.2, 1.2, 20)
         pose = np.concatenate([rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3)])
-        frame = forward_kinematics(DEFAULT_TEMPLATE, pose, angles)
+        frame = forward_kinematics(pose, angles)
         worst_roundtrip = max(worst_roundtrip,
                               float(np.max(np.abs(inverse_kinematics(frame) - angles))))
     worst_invariance = 0.0
     for _ in range(100):
         angles = rng.uniform(-1.2, 1.2, 20)
-        frame = forward_kinematics(DEFAULT_TEMPLATE, np.zeros(6), angles)
+        frame = forward_kinematics(np.zeros(6), angles)
         moved = frame @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
         delta = np.abs(inverse_kinematics(moved) - inverse_kinematics(frame))
         worst_invariance = max(worst_invariance, float(np.max(delta)))
@@ -232,9 +232,7 @@ def make_loocv_splits_for_subject_one(sequences, config):
     labels = [class_of(s.gesture, s.finger, 14) for s in sequences]
     train_idx = [i for i, s in enumerate(sequences) if s.subject != 1]
     test_idx = [i for i, s in enumerate(sequences) if s.subject == 1]
-    model = init_model(config.branches,
-                       {"global": config.global_dim, "finger": config.finger_dim,
-                        "skeleton": 66}, 14,
+    model = init_model(config.branches, {k: v.shape[1] for k, v in cache[0].items()}, 14,
                        hidden=config.lstm_hidden, fc_out=config.fc_out,
                        head=config.head, dropout=config.dropout, seed=1)
     train(model, [Sample(cache[i], labels[i]) for i in train_idx],

@@ -10,7 +10,6 @@ def test_defaults_match_reference_training_setup():
     assert config.batch_size == 32 and config.epochs == 100
     assert config.dad_bins == 5 and config.sigma_scale == 1.5
     assert config.lags == (1, 5, 10)
-    assert config.global_dim == 30 and config.finger_dim == 100
     assert config.fine_gestures == (1, 3, 4, 5, 6)
 
 
@@ -32,7 +31,6 @@ def test_load_config_overrides(tmp_path):
     assert config.lstm_hidden == 17
     assert config.dropout == 0.5
     assert config.lags == (1, 2, 3, 4)
-    assert config.global_dim == 12 + 24
     assert config.branches == ("global", "skeleton")
     assert config.bidirectional is False
     assert config.euler_convention == "zyx"

@@ -1,6 +1,8 @@
-"""The demos run to completion."""
+"""The demos run to completion, and the README's library sketch imports."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,12 @@ def test_demo_exits_zero(demo):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_sketch_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    imports = [node for node in ast.parse(block).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})

@@ -16,9 +16,12 @@ from gestrec.evaluation import (
     larfd,
     render_summary,
     run_loocv,
+    train_from_config,
     write_report,
 )
-from gestrec.network import fit_normalization
+from gestrec.dataset import EmptyDataset
+from gestrec.features import extract_features
+from gestrec.network import Sample, ShapeMismatch, fit_normalization
 
 FINE = (1, 3, 4, 5, 6)
 
@@ -192,6 +195,22 @@ def test_run_loocv_predictions_do_not_depend_on_the_train_accuracy_pass(
     for a, b in zip(forced.splits, tiny_report.splits):
         np.testing.assert_array_equal(a.predictions, b.predictions)
     np.testing.assert_array_equal(forced.confusion, tiny_report.confusion)
+
+
+def test_train_from_config_takes_branch_widths_from_the_samples(tiny_sequences, tiny_config):
+    config = replace(tiny_config, lags=(1, 2), epochs=1)
+    samples = [Sample(extract_features(s, config), s.gesture - 1) for s in tiny_sequences]
+    model, log = train_from_config(config, samples, 14, seed=0)
+    assert model.input_dims == {"global": 24, "finger": 80, "skeleton": 66}
+    assert len(log) == 1
+
+
+def test_train_from_config_refuses_no_samples_and_missing_streams(tiny_config):
+    with pytest.raises(EmptyDataset):
+        train_from_config(tiny_config, [], 14, seed=0)
+    streams = {"global": np.zeros((5, 30)), "finger": np.zeros((5, 100))}
+    with pytest.raises(ShapeMismatch, match="skeleton"):
+        train_from_config(tiny_config, [Sample(streams, 0)], 14, seed=0)
 
 
 def test_run_loocv_rejects_features_of_another_length(tiny_sequences, tiny_config):

@@ -1,11 +1,12 @@
 import itertools
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gestrec import features, finger_motion, global_motion
+from gestrec import hand_model
 from gestrec.config import PipelineConfig
 from gestrec.features import (
     FEATURE_KINDS,
@@ -33,8 +34,8 @@ def test_extract_default_dims(tiny_sequences):
 def test_extract_dims_follow_lag_config(tiny_sequences):
     config = PipelineConfig(lags=(1, 2))
     streams = extract_features(tiny_sequences[0], config)
-    assert streams["global"].shape[1] == config.global_dim == 24
-    assert streams["finger"].shape[1] == config.finger_dim == 80
+    assert streams["global"].shape[1] == 12 + 6 * 2
+    assert streams["finger"].shape[1] == 40 + 20 * 2
 
 
 def test_extract_subset_of_kinds(tiny_sequences):
@@ -42,18 +43,24 @@ def test_extract_subset_of_kinds(tiny_sequences):
     assert set(streams) == {"finger"}
 
 
+def test_one_function_solves_the_rigid_pose():
+    # besides its definition, kabsch_align is called only by hand_model.hand_pose
+    sources = Path(hand_model.__file__).parent.glob("*.py")
+    callers = sorted(p.name for p in sources if "kabsch_align(" in p.read_text())
+    assert callers == ["geometry.py", "hand_model.py"]
+
+
 @pytest.fixture
 def kabsch_calls(monkeypatch):
-    """Counts kabsch_align calls through every module attribute that holds it."""
+    """Counts kabsch_align calls through `hand_pose`, the one caller."""
     calls = []
-    original = features.kabsch_align
+    original = hand_model.kabsch_align
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (features, global_motion, finger_motion):
-        monkeypatch.setattr(module, "kabsch_align", counted)
+    monkeypatch.setattr(hand_model, "kabsch_align", counted)
     return calls
 
 

@@ -7,8 +7,8 @@ from gestrec.finger_motion import (
     hand_local_frame,
     inverse_kinematics,
 )
-from gestrec.hand_model import DEFAULT_TEMPLATE, forward_kinematics
-from gestrec.skeleton import DEFAULT_LAYOUT, SkeletonSequence
+from gestrec.hand_model import REST_POSITIONS, forward_kinematics
+from gestrec.skeleton import FINGERS, SkeletonSequence
 
 from conftest import random_rotation
 
@@ -16,11 +16,11 @@ from conftest import random_rotation
 def fk_frame(pose=None, angles=None):
     pose = np.zeros(6) if pose is None else np.asarray(pose)
     angles = np.zeros(20) if angles is None else np.asarray(angles)
-    return forward_kinematics(DEFAULT_TEMPLATE, pose, angles)
+    return forward_kinematics(pose, angles)
 
 
 def test_local_frame_identity_on_canonical_pose():
-    rest = DEFAULT_TEMPLATE.rest_positions
+    rest = REST_POSITIONS
     local, rot, trans = hand_local_frame(rest)
     np.testing.assert_allclose(rot, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(trans, 0.0, atol=1e-12)
@@ -29,7 +29,7 @@ def test_local_frame_identity_on_canonical_pose():
 
 def test_local_frame_undoes_rigid_motion():
     rng = np.random.default_rng(30)
-    rest = DEFAULT_TEMPLATE.rest_positions
+    rest = REST_POSITIONS
     for _ in range(20):
         r = random_rotation(rng)
         t = rng.uniform(-1, 1, 3)
@@ -82,7 +82,7 @@ def test_angles_invariant_under_rigid_motion():
 
 def test_zero_length_bone():
     frame = fk_frame()
-    quad = DEFAULT_LAYOUT.fingers[1]
+    quad = FINGERS[1]
     frame[quad[1]] = frame[quad[0]]    # index PIP collapses onto the MCP
     with pytest.raises(ZeroLengthBone) as err:
         inverse_kinematics(frame)
@@ -106,7 +106,7 @@ def test_ik_stack_matches_per_frame_calls():
 
 def test_ik_stack_names_zero_length_bone_in_last_frame():
     frames = np.stack([fk_frame()] * 4)
-    quad = DEFAULT_LAYOUT.fingers[4]
+    quad = FINGERS[4]
     frames[3, quad[3]] = frames[3, quad[2]]    # pinky tip collapses onto the DIP
     with pytest.raises(ZeroLengthBone, match="^frame 3: zero-length distal bone on pinky$") as err:
         inverse_kinematics(frames)
@@ -114,7 +114,7 @@ def test_ik_stack_names_zero_length_bone_in_last_frame():
 
 def fk_sequence(angle_track, **meta):
     frames = len(angle_track)
-    pos = np.stack([forward_kinematics(DEFAULT_TEMPLATE, np.zeros(6), angle_track[t])
+    pos = np.stack([forward_kinematics(np.zeros(6), angle_track[t])
                     for t in range(frames)])
     return SkeletonSequence(pos, **meta)
 
@@ -150,7 +150,7 @@ def test_curl_lag10_dynamic_pose():
 def test_feature_error_reports_frame():
     angles = np.zeros((6, 20))
     seq = fk_sequence(angles)
-    quad = DEFAULT_LAYOUT.fingers[0]
+    quad = FINGERS[0]
     seq.positions[3, quad[2]] = seq.positions[3, quad[1]]
     with pytest.raises(ZeroLengthBone, match="frame 3"):
         finger_features(seq)

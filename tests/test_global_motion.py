@@ -10,10 +10,9 @@ from gestrec.global_motion import (
     discretize_rho,
     frame_global_pose,
     global_features,
-    make_dad_config,
 )
-from gestrec.hand_model import DEFAULT_TEMPLATE, forward_kinematics
-from gestrec.skeleton import DEFAULT_LAYOUT, SkeletonSequence, palm_radius
+from gestrec.hand_model import forward_kinematics
+from gestrec.skeleton import GLOBAL_POINTS, SkeletonSequence, palm_radius
 
 
 def oracle_thresholds(bins, sigma, resolution=2 ** 20):
@@ -35,7 +34,7 @@ def fk_sequence(poses, angles=None, **meta):
     frames = len(poses)
     if angles is None:
         angles = np.zeros((frames, 20))
-    pos = np.stack([forward_kinematics(DEFAULT_TEMPLATE, poses[t], angles[t])
+    pos = np.stack([forward_kinematics(poses[t], angles[t])
                     for t in range(frames)])
     return SkeletonSequence(pos, **meta)
 
@@ -94,14 +93,14 @@ def test_invalid_config():
     with pytest.raises(InvalidConfig):
         dad_thresholds(5, -1.0)
     with pytest.raises(InvalidConfig):
-        DadConfig(3, 1.0, np.array([0.5, 0.4, 1.0]))
+        DadConfig(0, 1.0)
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(InvalidConfig):
-            make_dad_config(5, sigma)
+            DadConfig(5, sigma)
 
 
 def test_discretize_examples():
-    config = make_dad_config(5, 1.0)
+    config = DadConfig(5, 1.0)
     assert discretize_rho(0.0, config) == 1
     assert discretize_rho(10.0, config) == 5
     # Gaussian mass up to 0.5 is ~2.8 bins' worth, so 0.5 falls in bin 3
@@ -111,7 +110,7 @@ def test_discretize_examples():
 
 
 def test_discretize_monotone():
-    config = make_dad_config(5, 0.08)
+    config = DadConfig(5, 0.08)
     rhos = np.sort(np.random.default_rng(21).uniform(0, 0.2, 200))
     bins = [discretize_rho(r, config) for r in rhos]
     assert all(b2 >= b1 for b1, b2 in zip(bins, bins[1:]))
@@ -165,7 +164,7 @@ def test_feature_length_follows_lags():
 
 def test_frame_pose_recovers_planted_pose():
     pose = np.array([0.3, -0.5, 0.9, 0.12, -0.3, 0.25])
-    frame = forward_kinematics(DEFAULT_TEMPLATE, pose, np.zeros(20))
+    frame = forward_kinematics(pose, np.zeros(20))
     recovered = frame_global_pose(frame)
     np.testing.assert_allclose(recovered.rotation, pose[:3], atol=1e-9)
     rho, theta, phi = recovered.translation_spherical
@@ -177,7 +176,7 @@ def test_frame_pose_recovers_planted_pose():
 
 def test_degenerate_frame_reports_index():
     seq = fk_sequence(np.zeros((4, 6)))
-    seq.positions[2, list(DEFAULT_LAYOUT.global_indices)] = np.outer(
+    seq.positions[2, list(GLOBAL_POINTS)] = np.outer(
         np.arange(7), [1.0, 0.0, 0.0])
     with pytest.raises(DegenerateInput, match="frame 2"):
         global_features(seq)

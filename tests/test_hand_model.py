@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gestrec.geometry import euler_to_matrix, rotate_about_axis
-from gestrec.hand_model import DEFAULT_TEMPLATE, forward_kinematics
+from gestrec.hand_model import REST_POSITIONS, forward_kinematics
 from gestrec.synth import ANGLE_LIMIT
 
 
@@ -11,18 +11,18 @@ def test_fk_stack_matches_per_frame_calls():
     poses = np.concatenate([rng.uniform(-np.pi, np.pi, (50, 3)),
                             rng.normal(0.0, 0.3, (50, 3))], axis=1)
     angles = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, (50, 20))
-    stacked = forward_kinematics(DEFAULT_TEMPLATE, poses, angles)
-    assert stacked.shape == (50, DEFAULT_TEMPLATE.layout.joint_count, 3)
+    stacked = forward_kinematics(poses, angles)
+    assert stacked.shape == (50, 22, 3)
     for t in range(50):
         np.testing.assert_allclose(
-            stacked[t], forward_kinematics(DEFAULT_TEMPLATE, poses[t], angles[t]),
+            stacked[t], forward_kinematics(poses[t], angles[t]),
             rtol=0, atol=1e-12)
 
 
 def test_fk_stack_zero_angles_at_identity_is_rest_pose():
-    stacked = forward_kinematics(DEFAULT_TEMPLATE, np.zeros((4, 6)), np.zeros((4, 20)))
+    stacked = forward_kinematics(np.zeros((4, 6)), np.zeros((4, 20)))
     for frame in stacked:
-        np.testing.assert_array_equal(frame, DEFAULT_TEMPLATE.rest_positions)
+        np.testing.assert_array_equal(frame, REST_POSITIONS)
 
 
 @pytest.mark.parametrize("convention", ["xyz", "zyx"])

@@ -523,13 +523,6 @@ def test_mask_dtype_is_bool_or_zero_one_integers(dtype):
         forward(model, streams, bad)
 
 
-def test_evaluate_rejects_batch_size_below_one():
-    model = small_model(seed=11)
-    samples = make_samples(model, np.random.default_rng(12), count=2)
-    with pytest.raises(NetworkError, match="batch_size"):
-        evaluate(model, samples, batch_size=0)
-
-
 def test_batch_composition_leaves_each_sample_unchanged():
     # packing sorts samples by length and runs each step over the samples
     # still running; at float64 the probabilities come back in batch order,

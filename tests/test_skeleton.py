@@ -4,10 +4,14 @@ import pytest
 from gestrec.evaluation import OutOfRange, class_of, collapse_28_to_14
 from gestrec.features import extract_features
 from gestrec.skeleton import (
-    DEFAULT_LAYOUT,
+    FINGERS,
+    GLOBAL_POINTS,
+    JOINT_COUNT,
+    MCPS,
+    PALM,
+    WRIST,
     DegeneratePalm,
     EmptySequence,
-    JointLayout,
     NonFiniteCoordinate,
     SkeletonSequence,
     WrongJointCount,
@@ -26,20 +30,16 @@ def random_sequence(rng, frames=12, joints=22):
 
 
 def test_layout_defaults():
-    layout = DEFAULT_LAYOUT
-    assert layout.joint_count == 22
-    assert layout.global_indices == (0, 1, 2, 6, 10, 14, 18)
-    assert len(set(layout.global_indices)) == 7
-
-
-def test_layout_rejects_duplicate_indices():
-    with pytest.raises(ValueError):
-        JointLayout(fingers=((2, 3, 4, 5),) * 5)
+    assert JOINT_COUNT == 22
+    assert GLOBAL_POINTS == (0, 1, 2, 6, 10, 14, 18)
+    assert len(set(GLOBAL_POINTS)) == 7
+    # every joint appears exactly once: wrist, palm, then the finger quadruples
+    assert sorted((WRIST, PALM) + sum(FINGERS, ())) == list(range(JOINT_COUNT))
 
 
 def test_validate_identity():
     seq = random_sequence(np.random.default_rng(0))
-    assert validate_sequence(seq, DEFAULT_LAYOUT) is seq
+    assert validate_sequence(seq) is seq
 
 
 def test_validate_flags_nan_position():
@@ -69,7 +69,7 @@ def test_palm_radius_constant_distance():
     rng = np.random.default_rng(3)
     frame = rng.normal(0, 0.05, (22, 3))
     palm = frame[1]
-    for mcp in DEFAULT_LAYOUT.mcp_indices:
+    for mcp in MCPS:
         direction = rng.normal(size=3)
         frame[mcp] = palm + 0.04 * direction / np.linalg.norm(direction)
     assert palm_radius(frame) == pytest.approx(0.04, abs=1e-12)
@@ -78,7 +78,7 @@ def test_palm_radius_constant_distance():
 def test_palm_radius_is_arithmetic_mean():
     distances = [0.03, 0.04, 0.05, 0.04, 0.04]
     frame = np.zeros((22, 3))
-    for d, mcp in zip(distances, DEFAULT_LAYOUT.mcp_indices):
+    for d, mcp in zip(distances, MCPS):
         frame[mcp] = (d, 0.0, 0.0)
     expected = float(np.mean(distances))  # oracle: plain arithmetic mean
     assert palm_radius(frame) == pytest.approx(expected, abs=1e-15)

@@ -3,7 +3,7 @@ import pytest
 
 from gestrec.dataset import EmptyDataset, load_sequence, scan_dataset
 from gestrec.features import extract_features
-from gestrec.hand_model import DEFAULT_TEMPLATE, forward_kinematics
+from gestrec.hand_model import REST_POSITIONS, forward_kinematics
 from gestrec.synth import (
     GestureScript,
     InvalidConfig,
@@ -15,13 +15,13 @@ from gestrec.synth import (
 
 
 def test_fk_zero_angles_reproduces_rest_pose():
-    frame = forward_kinematics(DEFAULT_TEMPLATE, np.zeros(6), np.zeros(20))
-    np.testing.assert_array_equal(frame, DEFAULT_TEMPLATE.rest_positions)
+    frame = forward_kinematics(np.zeros(6), np.zeros(20))
+    np.testing.assert_array_equal(frame, REST_POSITIONS)
 
 
 def test_fk_pure_translation():
-    frame = forward_kinematics(DEFAULT_TEMPLATE, [0, 0, 0, 1.0, 2.0, 3.0], np.zeros(20))
-    np.testing.assert_allclose(frame, DEFAULT_TEMPLATE.rest_positions + [1.0, 2.0, 3.0],
+    frame = forward_kinematics([0, 0, 0, 1.0, 2.0, 3.0], np.zeros(20))
+    np.testing.assert_allclose(frame, REST_POSITIONS + [1.0, 2.0, 3.0],
                                atol=1e-12)
 
 
