@@ -23,10 +23,10 @@ print(f"synthetic '{'grab' if seq.gesture == scripts['grab'].gesture else 'pinch
       f"gesture: {seq.num_frames} frames x 22 joints")
 
 radius = palm_radius(seq.positions[0])
-dad = dad_config_for_sequence(seq)
+edges = dad_config_for_sequence(seq)    # the last edge is sigma
 print(f"\nfirst-frame palm radius: {radius * 100:.2f} cm")
-print(f"DAD sigma = 1.5 * r_palm = {dad.sigma * 100:.2f} cm")
-print("equal-Gaussian-mass bin edges (cm):", np.round(dad.thresholds * 100, 2))
+print(f"DAD sigma = 1.5 * r_palm = {edges[-1] * 100:.2f} cm")
+print("equal-Gaussian-mass bin edges (cm):", np.round(edges * 100, 2))
 
 print("\nper-frame rigid pose (every 6th frame):")
 print(f"{'frame':>5} {'rho (cm)':>9} {'theta':>7} {'phi':>7} {'r_x':>7} {'r_y':>7} {'r_z':>7}")

@@ -6,21 +6,15 @@ the epoch log, the checkpoint round-trip, and per-class predictions.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from gestrec.config import PipelineConfig
+from gestrec.evaluation import train_from_config
 from gestrec.features import extract_features
-from gestrec.network import (
-    Sample,
-    TrainConfig,
-    init_model,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train,
-)
+from gestrec.network import Sample, load_checkpoint, predict, save_checkpoint
 from gestrec.synth import builtin_scripts, generate_dataset
 
 scripts = builtin_scripts()[:3]
@@ -31,10 +25,10 @@ print(f"dataset: {len(sequences)} sequences, classes: "
 config = PipelineConfig()
 samples = [Sample(extract_features(s, config), s.gesture - 1) for s in sequences]
 
-model = init_model(config.branches, {"global": 30, "finger": 100, "skeleton": 66},
-                   classes=3, hidden=32, fc_out=32, head=(48, 24), dropout=0.2, seed=4)
-log = train(model, samples, TrainConfig(learning_rate=0.003, epochs=40,
-                                        batch_size=32, rng_seed=4, record_accuracy=True))
+# each branch takes its input width from the first sample's streams
+small = replace(config, lstm_hidden=32, fc_out=32, head=(48, 24), dropout=0.2,
+                learning_rate=0.003, epochs=40)
+model, log = train_from_config(small, samples, 3, seed=4, record_accuracy=True)
 
 print("\nepoch log (last 5):")
 for entry in log[-5:]:

@@ -86,6 +86,8 @@ def cmd_extract(args, parser) -> int:
     for kind in kinds:
         if kind not in FEATURE_KINDS:
             parser.error(f"unknown feature kind: {kind!r} (choose from {FEATURE_KINDS})")
+    if not kinds or len(set(kinds)) < len(kinds):
+        parser.error(f"--features must name each kind once: {args.features!r}")
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -105,10 +105,9 @@ def _parse_value(name: str, text: str, target_type: type):
     return target_type(text)
 
 
-def load_config(path: str | Path | None,
-                base: PipelineConfig | None = None) -> PipelineConfig:
+def load_config(path: str | Path | None) -> PipelineConfig:
     """Apply `key = value` overrides from a text file to the defaults."""
-    config = base or PipelineConfig()
+    config = PipelineConfig()
     if path is None:
         return config
     known = {f.name: f.type for f in fields(PipelineConfig)}

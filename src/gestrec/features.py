@@ -33,13 +33,13 @@ def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineCon
     validate_sequence(seq)
     streams = {}
     if "global" in kinds:
-        dad = dad_config_for_sequence(seq, config.dad_bins, config.sigma_scale)
+        thresholds = dad_config_for_sequence(seq, config.dad_bins, config.sigma_scale)
     if "global" in kinds or "finger" in kinds:
         # one rigid pose per sequence serves both motion streams
         pose = hand_pose(seq.positions)
     if "global" in kinds:
-        streams["global"] = global_features(seq, dad, config.lags, config.euler_convention,
-                                            pose=pose)
+        streams["global"] = global_features(seq, thresholds, config.lags,
+                                            config.euler_convention, pose=pose)
     if "finger" in kinds:
         streams["finger"] = finger_features(seq, config.lags, pose=pose)
     if "skeleton" in kinds:

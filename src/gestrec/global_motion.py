@@ -3,7 +3,7 @@ amplitude binning, and offset/dynamic pose differences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -28,23 +28,6 @@ class GlobalPose:
     translation_spherical: tuple
 
 
-@dataclass(frozen=True)
-class DadConfig:
-    """Distance-adaptive discretization of translation amplitude.
-
-    `thresholds` are the `dad_thresholds(bins, sigma)` bin edges, equal
-    Gaussian mass each on [0, sigma]; the last edge equals sigma and larger
-    amplitudes clamp into the top bin.
-    """
-
-    bins: int
-    sigma: float
-    thresholds: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "thresholds", dad_thresholds(self.bins, self.sigma))
-
-
 def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     """Bin edges eta_1..eta_M with equal Gaussian mass per bin on [0, sigma].
 
@@ -64,17 +47,19 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
 
 
 def dad_config_for_sequence(seq: SkeletonSequence, bins: int = 5,
-                            sigma_scale: float = 1.5) -> DadConfig:
-    """Per-sequence config with sigma = sigma_scale * first-frame palm radius."""
-    return DadConfig(bins, sigma_scale * palm_radius(seq.positions[0]))
+                            sigma_scale: float = 1.5) -> np.ndarray:
+    """A sequence's `dad_thresholds` edges, with sigma = sigma_scale *
+    first-frame palm radius."""
+    return dad_thresholds(bins, sigma_scale * palm_radius(seq.positions[0]))
 
 
-def discretize_rho(rho, config: DadConfig):
-    """1-based bin index: smallest i with rho <= eta_i, clamped to the top bin.
+def discretize_rho(rho, thresholds: np.ndarray):
+    """1-based bin index: smallest i with rho <= eta_i (the `dad_thresholds`
+    edges), clamped to the top bin, len(thresholds).
 
     `rho` is a scalar or an array; the result has its shape.
     """
-    return np.minimum(np.searchsorted(config.thresholds, rho, side="left") + 1, config.bins)
+    return np.minimum(np.searchsorted(thresholds, rho, side="left") + 1, len(thresholds))
 
 
 def frame_global_pose(frame: np.ndarray, convention: str = "xyz") -> GlobalPose:
@@ -87,7 +72,7 @@ def _global_pose(rot: np.ndarray, trans: np.ndarray, convention: str) -> GlobalP
     return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
 
 
-def global_features(seq: SkeletonSequence, config: DadConfig | None = None,
+def global_features(seq: SkeletonSequence, thresholds: np.ndarray | None = None,
                     lags: tuple[int, ...] = DEFAULT_LAGS,
                     convention: str = "xyz", *,
                     pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -95,15 +80,16 @@ def global_features(seq: SkeletonSequence, config: DadConfig | None = None,
 
     Each frame yields [rho_bin, theta, phi, r_x, r_y, r_z], its offset from
     frame 1, and its differences to the frames `lags` steps back (clamped to
-    frame 1). `pose` is the sequence's (R (T, 3, 3), t (T, 3)) as `hand_pose`
-    returns it; without it the pose is solved here. Expects a validated
-    sequence.
+    frame 1). `thresholds` are the DAD bin edges, `dad_config_for_sequence`'s
+    by default. `pose` is the sequence's (R (T, 3, 3), t (T, 3)) as
+    `hand_pose` returns it; without it the pose is solved here. Expects a
+    validated sequence.
     """
-    if config is None:
-        config = dad_config_for_sequence(seq)
+    if thresholds is None:
+        thresholds = dad_config_for_sequence(seq)
     if pose is None:
         pose = hand_pose(seq.positions)
     rigid = _global_pose(*pose, convention)
     rho, theta, azimuth = rigid.translation_spherical
-    phi = np.stack([discretize_rho(rho, config), theta, azimuth, *rigid.rotation], axis=1)
+    phi = np.stack([discretize_rho(rho, thresholds), theta, azimuth, *rigid.rotation], axis=1)
     return with_differences(phi, lags, first_angle=1)

@@ -54,13 +54,10 @@ def _rest_positions() -> np.ndarray:
 
 
 REST_POSITIONS = _rest_positions()     # (22, 3)
-for _constant in (BONE_LENGTHS, REST_DIRECTIONS, REST_POSITIONS):
+# the canonical wrist/palm/MCP point set, centroid at the origin, (7, 3)
+REFERENCE_PALM = REST_POSITIONS[list(GLOBAL_POINTS)]
+for _constant in (BONE_LENGTHS, REST_DIRECTIONS, REST_POSITIONS, REFERENCE_PALM):
     _constant.flags.writeable = False
-
-
-def reference_palm() -> np.ndarray:
-    """The (7, 3) canonical wrist/palm/MCP point set, centroid at the origin."""
-    return REST_POSITIONS[list(GLOBAL_POINTS)]
 
 
 def hand_pose(frames) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +66,7 @@ def hand_pose(frames) -> tuple[np.ndarray, np.ndarray]:
     R (3, 3) and t (3,), or of each frame of a stack (T, 22, 3), giving
     R (T, 3, 3) and t (T, 3). Both motion streams are built from it."""
     points = np.asarray(frames, dtype=np.float64)[..., list(GLOBAL_POINTS), :]
-    return kabsch_align(points, reference_palm())
+    return kabsch_align(points, REFERENCE_PALM)
 
 
 def forward_kinematics(global_pose, angles) -> np.ndarray:

@@ -43,10 +43,26 @@ class GestureScript:
     def __post_init__(self):
         if not 1 <= self.duration[0] <= self.duration[1]:
             raise InvalidConfig(f"script {self.name}: bad duration range {self.duration}")
+        if self.gesture < 1 or self.finger not in (1, 2):
+            raise InvalidConfig(f"script {self.name}: gesture must be at least 1 and finger "
+                                f"1 or 2, got {self.gesture} and {self.finger}")
+        for name in ("amp_jitter", "speed_jitter"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidConfig(f"script {self.name}: {name} must be in [0, 1): "
+                                    f"{getattr(self, name)}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidConfig(f"script {self.name}: noise_sigma must be finite and "
+                                f"non-negative: {self.noise_sigma}")
         for channel, points in self.curves.items():
             if channel not in GLOBAL_CHANNELS and channel not in ANGLE_CHANNELS:
                 raise InvalidConfig(f"unknown channel {channel!r} in script {self.name}")
-            values = np.array([v for _, v in points])
+            times = np.array([t for t, _ in points], dtype=np.float64)
+            values = np.array([v for _, v in points], dtype=np.float64)
+            if not (np.all((times >= 0.0) & (times <= 1.0)) and np.all(np.diff(times) > 0)):
+                raise InvalidConfig(f"script {self.name}: {channel} times must be finite, "
+                                    f"strictly increasing and within [0, 1]")
+            if not np.all(np.isfinite(values)):
+                raise InvalidConfig(f"script {self.name}: {channel} has a non-finite value")
             if channel in ANGLE_CHANNELS and np.any(np.abs(values) > ANGLE_LIMIT):
                 raise InvalidConfig(
                     f"script {self.name}: {channel} exceeds +/-{ANGLE_LIMIT} rad")

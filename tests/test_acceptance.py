@@ -16,7 +16,7 @@ from gestrec.features import extract_features
 from gestrec.finger_motion import inverse_kinematics
 from gestrec.geometry import kabsch_align
 from gestrec.global_motion import dad_thresholds
-from gestrec.hand_model import forward_kinematics, reference_palm
+from gestrec.hand_model import REFERENCE_PALM, forward_kinematics
 from gestrec.network import Sample, TrainConfig, evaluate, init_model, train
 from gestrec.synth import builtin_scripts, generate_dataset
 
@@ -36,7 +36,7 @@ def check(name, ok, detail=""):
 
 
 def test_kabsch_oracle_1000_planted_transforms():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     rng = np.random.default_rng(1000)
     start = time.perf_counter()
     worst_rot = worst_trans = 0.0

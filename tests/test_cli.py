@@ -131,11 +131,15 @@ def test_extract_skips_an_unreadable_input_and_writes_the_rest(synth_root, featu
         assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
 
 
-def test_extract_unknown_kind_is_usage_error(synth_root, tmp_path):
+@pytest.mark.parametrize("kinds", ["global,warp", ",", "", "global,global",
+                                   "finger, global, finger"],
+                         ids=["unknown", "comma", "empty", "repeated", "repeated-spaced"])
+def test_extract_unknown_kind_is_usage_error(kinds, synth_root, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",
-             "--features", "global,warp"])
+             "--features", kinds])
     assert err.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_extract_missing_dataset_fails(tmp_path):
@@ -254,6 +258,12 @@ MALFORMED = [
     ("train", "values", float("inf")),
     ("train", "config", TINY_CONFIG + "branches = global, global\n"),
     ("loocv", "config", TINY_CONFIG + "branches = finger, skeleton, finger\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\nnoise_sigma = -1\n[script b]\ngesture = 2\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\namp_jitter = inf\n[script b]\ngesture = 2\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\nindex_flex = 0:0, 1:nan\n"
+                         "[script b]\ngesture = 2\n"),
+    ("synth", "scripts", "[script a]\ngesture = 1\ntx = 1:0.1, 0:0\n[script b]\ngesture = 2\n"),
+    ("synth", "scripts", "[script a]\ngesture = -1\n[script b]\ngesture = 2\n"),
 ]
 
 
@@ -291,6 +301,7 @@ def test_malformed_input_is_one_line_error(command, kind, content, synth_root, f
         inputs += ["--scripts" if kind == "scripts" else "--config", path]
     assert run([command, *inputs]) == 1
     assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "data").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()

@@ -1,4 +1,5 @@
-"""The demos run to completion, and the README's library sketch imports."""
+"""The demos run to completion, and the README's library sketch imports exactly
+the names the package root exports."""
 
 import ast
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gestrec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +31,8 @@ def test_readme_sketch_imports_resolve():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
+    # the package root exports exactly what the sketch imports, so no name
+    # has a second import path
+    sketch = {alias.name for node in imports if isinstance(node, ast.ImportFrom)
+              and node.module == "gestrec" for alias in node.names}
+    assert set(gestrec.__all__) == sketch

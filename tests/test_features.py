@@ -72,7 +72,7 @@ def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_call
     for frames in (1, 2, 11, full.num_frames):
         seq = SkeletonSequence(full.positions[:frames])
         dad = dad_config_for_sequence(seq, bins=config.dad_bins, sigma_scale=config.sigma_scale)
-        expected = {"global": global_features(seq, config=dad, lags=config.lags,
+        expected = {"global": global_features(seq, thresholds=dad, lags=config.lags,
                                               convention=convention),
                     "finger": finger_features(seq, lags=config.lags)}
         for kinds in subsets:

@@ -12,20 +12,20 @@ from gestrec.geometry import (
     with_differences,
     wrap_angle,
 )
-from gestrec.hand_model import reference_palm
+from gestrec.hand_model import REFERENCE_PALM
 
 from conftest import random_rotation
 
 
 def test_kabsch_identity():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     r, t = kabsch_align(ref, ref)
     np.testing.assert_allclose(r, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(t, 0.0, atol=1e-12)
 
 
 def test_kabsch_recovers_quarter_turn_and_shift():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     planted = np.array([[0.0, -1.0, 0.0],
                         [1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0]])  # 90 degrees about z, written out
@@ -36,7 +36,7 @@ def test_kabsch_recovers_quarter_turn_and_shift():
 
 
 def test_kabsch_planted_transforms_exact():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     rng = np.random.default_rng(10)
     for _ in range(200):
         planted = random_rotation(rng)
@@ -50,7 +50,7 @@ def test_kabsch_planted_transforms_exact():
 
 def test_kabsch_noise_monte_carlo():
     # 100 noisy trials: recovered rotation within 1e-2 rad geodesic distance
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     rng = np.random.default_rng(11)
     for _ in range(100):
         planted = random_rotation(rng)
@@ -64,9 +64,9 @@ def test_kabsch_noise_monte_carlo():
 def test_kabsch_degenerate_collinear():
     line = np.outer(np.linspace(0, 1, 7), [1.0, 2.0, 0.5])
     with pytest.raises(DegenerateInput):
-        kabsch_align(line, reference_palm())
+        kabsch_align(line, REFERENCE_PALM)
     with pytest.raises(DegenerateInput):
-        kabsch_align(reference_palm(), line)
+        kabsch_align(REFERENCE_PALM, line)
 
 
 def test_euler_identity():
@@ -169,7 +169,7 @@ def test_with_differences_matches_per_lag_loop():
 
 
 def test_kabsch_stack_matches_per_frame_calls():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     rng = np.random.default_rng(15)
     stack = np.stack([ref @ random_rotation(rng).T + rng.uniform(-1, 1, 3)
                       + rng.normal(0, 1e-3, ref.shape) for _ in range(20)])
@@ -182,7 +182,7 @@ def test_kabsch_stack_matches_per_frame_calls():
 
 
 def test_kabsch_stack_names_degenerate_last_frame():
-    ref = reference_palm()
+    ref = REFERENCE_PALM
     line = np.outer(np.linspace(0, 1, 7), [1.0, 2.0, 0.5])
     with pytest.raises(DegenerateInput, match="^frame 2: "):
         kabsch_align(np.stack([ref, ref, line]), ref)

@@ -3,7 +3,6 @@ import pytest
 
 from gestrec.geometry import DegenerateInput
 from gestrec.global_motion import (
-    DadConfig,
     InvalidConfig,
     dad_config_for_sequence,
     dad_thresholds,
@@ -92,15 +91,13 @@ def test_invalid_config():
         dad_thresholds(0, 1.0)
     with pytest.raises(InvalidConfig):
         dad_thresholds(5, -1.0)
-    with pytest.raises(InvalidConfig):
-        DadConfig(0, 1.0)
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(InvalidConfig):
-            DadConfig(5, sigma)
+            dad_thresholds(5, sigma)
 
 
 def test_discretize_examples():
-    config = DadConfig(5, 1.0)
+    config = dad_thresholds(5, 1.0)
     assert discretize_rho(0.0, config) == 1
     assert discretize_rho(10.0, config) == 5
     # Gaussian mass up to 0.5 is ~2.8 bins' worth, so 0.5 falls in bin 3
@@ -110,7 +107,7 @@ def test_discretize_examples():
 
 
 def test_discretize_monotone():
-    config = DadConfig(5, 0.08)
+    config = dad_thresholds(5, 0.08)
     rhos = np.sort(np.random.default_rng(21).uniform(0, 0.2, 200))
     bins = [discretize_rho(r, config) for r in rhos]
     assert all(b2 >= b1 for b1, b2 in zip(bins, bins[1:]))
@@ -119,7 +116,7 @@ def test_discretize_monotone():
 def test_config_sigma_from_first_frame_palm():
     seq = fk_sequence(np.zeros((3, 6)))
     config = dad_config_for_sequence(seq, bins=5, sigma_scale=1.5)
-    assert config.sigma == pytest.approx(1.5 * palm_radius(seq.positions[0]), rel=1e-12)
+    assert config[-1] == pytest.approx(1.5 * palm_radius(seq.positions[0]), rel=1e-12)
 
 
 def test_static_sequence_has_zero_offset_and_dynamic():

@@ -40,6 +40,29 @@ def test_script_rejects_out_of_box_angles():
         GestureScript("bad", 1, {"nonsense_channel": ((0.0, 0.0),)})
 
 
+@pytest.mark.parametrize("fields", [
+    {"gesture": 0}, {"gesture": -1}, {"finger": 0}, {"finger": 3},
+    {"amp_jitter": -0.1}, {"amp_jitter": 1.0}, {"amp_jitter": float("inf")},
+    {"speed_jitter": float("nan")}, {"noise_sigma": -1.0}, {"noise_sigma": float("inf")},
+    {"noise_sigma": float("nan")},
+    {"curves": {"tx": ((1.0, 0.1), (0.0, 0.0))}},
+    {"curves": {"tx": ((0.0, 0.1), (0.0, 0.2))}},
+    {"curves": {"tx": ((-0.5, 0.1), (1.0, 0.2))}},
+    {"curves": {"tx": ((0.0, 0.1), (1.5, 0.2))}},
+    {"curves": {"tx": ((0.0, 0.1), (float("nan"), 0.2))}},
+    {"curves": {"index_flex": ((0.0, 0.0), (1.0, float("nan")))}},
+    {"curves": {"tx": ((0.0, float("inf")),)}},
+])
+def test_script_rejects_malformed_fields(fields):
+    with pytest.raises(InvalidConfig):
+        GestureScript(**{"name": "bad", "gesture": 1, **fields})
+
+
+def test_script_accepts_the_field_boundaries():
+    GestureScript("edges", 1, {"tx": ((0.0, 0.0), (1.0, 0.1))}, finger=2, amp_jitter=0.0,
+                  speed_jitter=0.0, noise_sigma=0.0)
+
+
 def test_generate_counts_and_metadata():
     seqs = generate_dataset(builtin_scripts()[:3], subjects=4, trials=5, seed=5)
     assert len(seqs) == 60
