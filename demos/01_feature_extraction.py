@@ -10,7 +10,9 @@ import numpy as np
 
 from gestrec.config import PipelineConfig
 from gestrec.features import extract_features
-from gestrec.global_motion import dad_config_for_sequence, frame_global_pose
+from gestrec.geometry import cartesian_to_spherical, rotation_to_euler
+from gestrec.global_motion import dad_config_for_sequence
+from gestrec.hand_model import hand_pose
 from gestrec.skeleton import palm_radius
 from gestrec.synth import builtin_scripts, generate_dataset
 
@@ -31,8 +33,8 @@ print("equal-Gaussian-mass bin edges (cm):", np.round(edges * 100, 2))
 print("\nper-frame rigid pose (every 6th frame):")
 print(f"{'frame':>5} {'rho (cm)':>9} {'theta':>7} {'phi':>7} {'r_x':>7} {'r_y':>7} {'r_z':>7}")
 frames = np.arange(0, seq.num_frames, 6)
-pose = frame_global_pose(seq.positions[frames])    # one call on the frame stack
-for row in zip(frames, *pose.translation_spherical, *pose.rotation):
+rot, trans = hand_pose(seq.positions[frames])    # one call on the frame stack
+for row in zip(frames, *cartesian_to_spherical(trans), *rotation_to_euler(rot)):
     t, rho, theta, phi, rx, ry, rz = row
     print(f"{t:>5} {rho * 100:>9.2f} {theta:>7.3f} {phi:>7.3f} "
           f"{rx:>7.3f} {ry:>7.3f} {rz:>7.3f}")

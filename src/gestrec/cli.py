@@ -26,6 +26,14 @@ def _report_error(command: str, message) -> None:
     print(f"gestrec {command}: error: {message}", file=sys.stderr)
 
 
+def _report_skipped(command: str, index) -> bool:
+    """Report each skeleton file `scan_dataset` skipped; True if there was one."""
+    for path in index.skipped:
+        _report_error(command, f"{path}: not in a numbered "
+                               "gesture_<g>/finger_<f>/subject_<s>/essai_<t> directory")
+    return bool(index.skipped)
+
+
 def _add_config_arg(parser):
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value overrides for pipeline defaults")
@@ -92,6 +100,7 @@ def cmd_extract(args, parser) -> int:
     index = scan_dataset(args.dataset)
     args.out.mkdir(parents=True, exist_ok=True)
     failed = 0
+    skipped = _report_skipped(args.command, index)
     for entry in index.entries:
         # A bad or unreadable sequence is reported and skipped; an OSError on
         # output aborts.
@@ -110,7 +119,7 @@ def cmd_extract(args, parser) -> int:
             write_feature_file(args.out / name, kind, streams[kind],
                                entry.gesture, entry.finger, entry.subject, entry.trial)
     print(f"extracted {len(kinds)} x {len(index) - failed} feature files to {args.out}")
-    return 1 if failed else 0
+    return 1 if failed or skipped else 0
 
 
 def cmd_train(args) -> int:
@@ -137,6 +146,8 @@ def cmd_train(args) -> int:
 def cmd_loocv(args) -> int:
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
+    if _report_skipped(args.command, index):
+        return 1
     sequences = [load_sequence(e) for e in index.entries]
     report = run_loocv(sequences, config, classes=args.classes, seed=args.seed,
                        progress=print)

@@ -60,6 +60,7 @@ class DatasetEntry:
 @dataclass(frozen=True)
 class DatasetIndex:
     entries: tuple[DatasetEntry, ...]
+    skipped: tuple[Path, ...] = ()
 
     def __post_init__(self):
         keys = [e.key for e in self.entries]
@@ -87,21 +88,25 @@ _ENTRY_RE = re.compile(
 
 
 def scan_dataset(root: str | Path) -> DatasetIndex:
-    """Index every skeleton file under a DHG-style tree, sorted by (g,f,s,t)."""
+    """Index every skeleton file under a DHG-style tree, sorted by (g,f,s,t);
+    files under unnumbered directories (`gesture_x/`) go, sorted, to `skipped`."""
     root = Path(root)
     if not root.is_dir():
         raise MissingRoot(f"not a directory: {root}")
-    entries = []
+    entries, skipped = [], []
     for path in root.glob("gesture_*/finger_*/subject_*/essai_*/skeletons_world.txt"):
         match = _ENTRY_RE.search(path.as_posix())
         if match is None:
+            skipped.append(path)
             continue
         g, f, s, t = (int(x) for x in match.groups())
         entries.append(DatasetEntry(g, f, s, t, path))
     if not entries:
-        raise EmptyDataset(f"no skeleton files under {root}")
+        raise EmptyDataset(f"no skeleton files under {root}" + (
+            f" in numbered directories; {len(skipped)} skipped, first {min(skipped)}"
+            if skipped else ""))
     entries.sort(key=lambda e: e.key)
-    return DatasetIndex(tuple(entries))
+    return DatasetIndex(tuple(entries), tuple(sorted(skipped)))
 
 
 def load_sequence(entry: DatasetEntry) -> SkeletonSequence:

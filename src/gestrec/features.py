@@ -38,10 +38,10 @@ def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineCon
         # one rigid pose per sequence serves both motion streams
         pose = hand_pose(seq.positions)
     if "global" in kinds:
-        streams["global"] = global_features(seq, thresholds, config.lags,
-                                            config.euler_convention, pose=pose)
+        streams["global"] = global_features(pose, thresholds, config.lags,
+                                            config.euler_convention)
     if "finger" in kinds:
-        streams["finger"] = finger_features(seq, config.lags, pose=pose)
+        streams["finger"] = finger_features(seq.positions, pose, config.lags)
     if "skeleton" in kinds:
         streams["skeleton"] = normalize_skeleton_branch(seq)
     return streams

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import GestrecError
 from .geometry import DEFAULT_LAGS, with_differences
 from .hand_model import PALM_NORMAL, REST_DIRECTIONS, hand_pose
-from .skeleton import FINGER_NAMES, FINGERS, SkeletonSequence
+from .skeleton import FINGER_NAMES, FINGERS
 
 
 class ZeroLengthBone(GestrecError):
@@ -20,20 +20,8 @@ class ZeroLengthBone(GestrecError):
         super().__init__(f"{where}zero-length {segment} bone on {finger}")
 
 
-def hand_local_frame(frame: np.ndarray):
-    """Undo the hand's rigid pose (`hand_pose`) of a frame (22, 3) or of each
-    frame of a stack (T, 22, 3).
-
-    Returns (local_joints, rotation, translation) where
-    local = R^T (p - t) for every joint, so the palm ends up centered at the
-    origin facing +z regardless of where the hand is in the world.
-    """
-    pts = np.asarray(frame, dtype=np.float64)
-    rot, trans = hand_pose(pts)
-    return _to_local(pts, rot, trans), rot, trans
-
-
 def _to_local(pts: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Undo a rigid pose: R^T (p - t) per joint, palm at the origin facing +z."""
     return (pts - trans[..., None, :]) @ rot
 
 
@@ -52,8 +40,8 @@ def inverse_kinematics(frame: np.ndarray) -> np.ndarray:
     lateral axis. Exactly inverts `forward_kinematics` inside the joint box
     where |MCP flexion| < pi/2.
     """
-    local, _, _ = hand_local_frame(frame)
-    return _local_joint_angles(local)
+    pts = np.asarray(frame, dtype=np.float64)
+    return _local_joint_angles(_to_local(pts, *hand_pose(pts)))
 
 
 def _local_joint_angles(local: np.ndarray) -> np.ndarray:
@@ -84,15 +72,13 @@ def _local_joint_angles(local: np.ndarray) -> np.ndarray:
     return angles
 
 
-def finger_features(seq: SkeletonSequence, lags: tuple[int, ...] = DEFAULT_LAGS, *,
-                    pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def finger_features(positions: np.ndarray, pose: tuple[np.ndarray, np.ndarray],
+                    lags: tuple[int, ...] = DEFAULT_LAGS) -> np.ndarray:
     """Per-frame finger motion features, shape (T, 20 + 20 + 20*len(lags)).
 
-    Joint angles per frame, their offset from frame 1, and differences to the
-    frames `lags` steps back (clamped to frame 1); all differences wrapped to
-    (-pi, pi]. `pose` is the sequence's (R, t) as `hand_pose` returns it;
-    without it the pose is solved here. Expects a validated sequence.
+    `positions` (T, 22, 3) are a validated sequence's joints and `pose` their
+    rigid pose (R, t) as `hand_pose` returns it. Joint angles per frame, their
+    offset from frame 1, and differences to the frames `lags` steps back
+    (clamped to frame 1); all differences wrapped to (-pi, pi].
     """
-    if pose is None:
-        pose = hand_pose(seq.positions)
-    return with_differences(_local_joint_angles(_to_local(seq.positions, *pose)), lags)
+    return with_differences(_local_joint_angles(_to_local(positions, *pose)), lags)

@@ -3,7 +3,6 @@ amplitude binning, and offset/dynamic pose differences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -15,17 +14,7 @@ from .geometry import (
     rotation_to_euler,
     with_differences,
 )
-from .hand_model import hand_pose
 from .skeleton import SkeletonSequence, palm_radius
-
-
-@dataclass(frozen=True)
-class GlobalPose:
-    """Rigid pose: Euler rotation + spherical translation, three scalars each
-    for one frame or three (T,) arrays each for a frame stack."""
-
-    rotation: tuple
-    translation_spherical: tuple
 
 
 def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
@@ -62,34 +51,19 @@ def discretize_rho(rho, thresholds: np.ndarray):
     return np.minimum(np.searchsorted(thresholds, rho, side="left") + 1, len(thresholds))
 
 
-def frame_global_pose(frame: np.ndarray, convention: str = "xyz") -> GlobalPose:
-    """The hand's rigid pose (`hand_pose`) of one frame (22, 3), or of each
-    frame of a stack (T, 22, 3), as Euler angles and a spherical translation."""
-    return _global_pose(*hand_pose(frame), convention)
-
-
-def _global_pose(rot: np.ndarray, trans: np.ndarray, convention: str) -> GlobalPose:
-    return GlobalPose(rotation_to_euler(rot, convention), cartesian_to_spherical(trans))
-
-
-def global_features(seq: SkeletonSequence, thresholds: np.ndarray | None = None,
+def global_features(pose: tuple[np.ndarray, np.ndarray], thresholds: np.ndarray,
                     lags: tuple[int, ...] = DEFAULT_LAGS,
-                    convention: str = "xyz", *,
-                    pose: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                    convention: str = "xyz") -> np.ndarray:
     """Per-frame global motion features, shape (T, 6 + 6 + 6*len(lags)).
 
-    Each frame yields [rho_bin, theta, phi, r_x, r_y, r_z], its offset from
-    frame 1, and its differences to the frames `lags` steps back (clamped to
-    frame 1). `thresholds` are the DAD bin edges, `dad_config_for_sequence`'s
-    by default. `pose` is the sequence's (R (T, 3, 3), t (T, 3)) as
-    `hand_pose` returns it; without it the pose is solved here. Expects a
-    validated sequence.
+    `pose` is a sequence's rigid pose (R (T, 3, 3), t (T, 3)) as `hand_pose`
+    returns it, and `thresholds` are its DAD bin edges
+    (`dad_config_for_sequence`). Each frame yields
+    [rho_bin, theta, phi, r_x, r_y, r_z], its offset from frame 1, and its
+    differences to the frames `lags` steps back (clamped to frame 1).
     """
-    if thresholds is None:
-        thresholds = dad_config_for_sequence(seq)
-    if pose is None:
-        pose = hand_pose(seq.positions)
-    rigid = _global_pose(*pose, convention)
-    rho, theta, azimuth = rigid.translation_spherical
-    phi = np.stack([discretize_rho(rho, thresholds), theta, azimuth, *rigid.rotation], axis=1)
+    rot, trans = pose
+    rho, theta, azimuth = cartesian_to_spherical(trans)
+    phi = np.stack([discretize_rho(rho, thresholds), theta, azimuth,
+                    *rotation_to_euler(rot, convention)], axis=1)
     return with_differences(phi, lags, first_angle=1)

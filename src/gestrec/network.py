@@ -146,22 +146,27 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
         bias[hidden:2 * hidden] = 1.0
         model.params[f"{prefix}.b"] = bias
 
-    for name in model.branches:
-        for direction in model.directions:
-            lstm_block(f"{name}.l1.{direction}", input_dims[name])
-        for direction in model.directions:
-            lstm_block(f"{name}.l2.{direction}", model.summary_dim)
-        model.params[f"{name}.fc.W"] = uniform(fc_out, model.summary_dim)
-        model.params[f"{name}.fc.b"] = np.zeros(fc_out)
+    # a size numpy cannot allocate, such as a 400-digit hidden width from a
+    # config file, raises ValueError or MemoryError here
+    try:
+        for name in model.branches:
+            for direction in model.directions:
+                lstm_block(f"{name}.l1.{direction}", input_dims[name])
+            for direction in model.directions:
+                lstm_block(f"{name}.l2.{direction}", model.summary_dim)
+            model.params[f"{name}.fc.W"] = uniform(fc_out, model.summary_dim)
+            model.params[f"{name}.fc.b"] = np.zeros(fc_out)
 
-    widths = (len(model.branches) * fc_out,) + model.head + (classes,)
-    for i in range(len(model.head)):
-        model.params[f"head.{i}.W"] = uniform(widths[i + 1], widths[i])
-        model.params[f"head.{i}.b"] = np.zeros(widths[i + 1])
-    model.params["head.out.W"] = uniform(classes, widths[-2])
-    model.params["head.out.b"] = np.zeros(classes)
-    model.params = {key: arr.astype(model.dtype, copy=False)
-                    for key, arr in model.params.items()}
+        widths = (len(model.branches) * fc_out,) + model.head + (classes,)
+        for i in range(len(model.head)):
+            model.params[f"head.{i}.W"] = uniform(widths[i + 1], widths[i])
+            model.params[f"head.{i}.b"] = np.zeros(widths[i + 1])
+        model.params["head.out.W"] = uniform(classes, widths[-2])
+        model.params["head.out.b"] = np.zeros(classes)
+        model.params = {key: arr.astype(model.dtype, copy=False)
+                        for key, arr in model.params.items()}
+    except (ValueError, MemoryError) as e:
+        raise NetworkError(f"cannot allocate the model's parameters: {e}") from e
 
     for name in model.branches:
         model.norm[name] = {"mean": np.zeros(input_dims[name]),

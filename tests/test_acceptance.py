@@ -226,17 +226,13 @@ def test_published_targets_optional_dhg_split():
 
 def make_loocv_splits_for_subject_one(sequences, config):
     """Single DHG split: train on subjects 2..20, test on subject 1."""
-    from gestrec.evaluation import class_of
+    from gestrec.evaluation import class_of, train_from_config
 
     cache = [extract_features(s, config) for s in sequences]
     labels = [class_of(s.gesture, s.finger, 14) for s in sequences]
     train_idx = [i for i, s in enumerate(sequences) if s.subject != 1]
     test_idx = [i for i, s in enumerate(sequences) if s.subject == 1]
-    model = init_model(config.branches, {k: v.shape[1] for k, v in cache[0].items()}, 14,
-                       hidden=config.lstm_hidden, fc_out=config.fc_out,
-                       head=config.head, dropout=config.dropout, seed=1)
-    train(model, [Sample(cache[i], labels[i]) for i in train_idx],
-          TrainConfig(batch_size=config.batch_size, epochs=config.epochs, rng_seed=1,
-                      learning_rate=config.learning_rate, clip_norm=config.clip_norm))
+    model, _ = train_from_config(config, [Sample(cache[i], labels[i]) for i in train_idx],
+                                 14, seed=1)
     preds, _ = evaluate(model, [Sample(cache[i], labels[i]) for i in test_idx])
     return float(np.mean(preds == np.array([labels[i] for i in test_idx])))

@@ -131,6 +131,37 @@ def test_extract_skips_an_unreadable_input_and_writes_the_rest(synth_root, featu
         assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
 
 
+def test_misnamed_directories_are_reported_and_the_rest_written(synth_root, feature_dir,
+                                                                 config_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_root, data)
+    (data / "gesture_6").rename(data / "gesture_x")
+    (data / "gesture_1/finger_1/subject_2/essai_2").rename(
+        data / "gesture_1/finger_1/subject_2/essai_2b")
+    misnamed = sorted(data.glob("gesture_x/*/*/*/skeletons_world.txt")) \
+        + [data / "gesture_1/finger_1/subject_2/essai_2b/skeletons_world.txt"]
+    index = scan_dataset(data)
+    assert index.skipped == tuple(sorted(misnamed))
+    assert len(index.skipped) == 7 and len(index) == 36 - 7
+    out = tmp_path / "feats"
+    assert run(["extract", "--dataset", data, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"gestrec extract: error: {path}: not in a numbered "
+        "gesture_<g>/finger_<f>/subject_<s>/essai_<t> directory" for path in index.skipped]
+    assert f"extracted 3 x {36 - 7} feature files" in captured.out
+    written = sorted(p.name for p in out.iterdir())
+    assert len(written) == 3 * (36 - 7)
+    for name in written:
+        assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
+    # loocv refuses the tree before it trains
+    report = tmp_path / "report"
+    assert run(["loocv", "--dataset", data, "--config", config_file, "--out", report]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 7 and captured.out == ""
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("kinds", ["global,warp", ",", "", "global,global",
                                    "finger, global, finger"],
                          ids=["unknown", "comma", "empty", "repeated", "repeated-spaced"])
@@ -264,6 +295,10 @@ MALFORMED = [
                          "[script b]\ngesture = 2\n"),
     ("synth", "scripts", "[script a]\ngesture = 1\ntx = 1:0.1, 0:0\n[script b]\ngesture = 2\n"),
     ("synth", "scripts", "[script a]\ngesture = -1\n[script b]\ngesture = 2\n"),
+    # sizes numpy cannot allocate; a large size that can be allocated is never tried
+    ("train", "config", TINY_CONFIG + f"lstm_hidden = {10 ** 399}\n"),
+    ("train", "config", TINY_CONFIG + f"fc_out = {10 ** 399}\n"),
+    ("loocv", "config", TINY_CONFIG + f"head = 8, {10 ** 399}\n"),
 ]
 
 

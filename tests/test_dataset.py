@@ -1,4 +1,5 @@
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -44,14 +45,24 @@ def test_scan_missing_root(tmp_path):
 
 
 def test_scan_empty(tmp_path):
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="^no skeleton files under [^ ]+$"):
         scan_dataset(tmp_path)
+
+
+def test_scan_with_only_unnumbered_directories_names_them(dhg_tree, tmp_path):
+    root, _ = dhg_tree
+    copy = tmp_path / "misnamed"
+    shutil.copytree(root, copy)
+    for gesture in copy.glob("gesture_*"):
+        gesture.rename(gesture.with_name(gesture.name + "x"))
+    first = min(copy.glob("gesture_*/finger_*/subject_*/essai_*/skeletons_world.txt"))
+    with pytest.raises(EmptyDataset, match=re.escape(f"in numbered directories; 12 skipped, first {first}") + "$"):
+        scan_dataset(copy)
 
 
 def test_scan_is_permissive_about_missing_trials(dhg_tree, tmp_path):
     root, _ = dhg_tree
     copy = tmp_path / "partial"
-    import shutil
     shutil.copytree(root, copy)
     victim = next(copy.glob("gesture_*/finger_*/subject_*/essai_2/skeletons_world.txt"))
     victim.unlink()

@@ -72,9 +72,10 @@ def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_call
     for frames in (1, 2, 11, full.num_frames):
         seq = SkeletonSequence(full.positions[:frames])
         dad = dad_config_for_sequence(seq, bins=config.dad_bins, sigma_scale=config.sigma_scale)
-        expected = {"global": global_features(seq, thresholds=dad, lags=config.lags,
+        pose = hand_model.hand_pose(seq.positions)
+        expected = {"global": global_features(pose, dad, lags=config.lags,
                                               convention=convention),
-                    "finger": finger_features(seq, lags=config.lags)}
+                    "finger": finger_features(seq.positions, pose, lags=config.lags)}
         for kinds in subsets:
             kabsch_calls.clear()
             streams = extract_features(seq, config, kinds=kinds)

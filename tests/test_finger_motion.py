@@ -3,11 +3,11 @@ import pytest
 
 from gestrec.finger_motion import (
     ZeroLengthBone,
+    _to_local,
     finger_features,
-    hand_local_frame,
     inverse_kinematics,
 )
-from gestrec.hand_model import REST_POSITIONS, forward_kinematics
+from gestrec.hand_model import REST_POSITIONS, forward_kinematics, hand_pose
 from gestrec.skeleton import FINGERS, SkeletonSequence
 
 from conftest import random_rotation
@@ -19,9 +19,15 @@ def fk_frame(pose=None, angles=None):
     return forward_kinematics(pose, angles)
 
 
+def local_frame(frame):
+    """The joints of `frame` with its rigid pose (`hand_pose`) undone."""
+    return _to_local(frame, *hand_pose(frame))
+
+
 def test_local_frame_identity_on_canonical_pose():
     rest = REST_POSITIONS
-    local, rot, trans = hand_local_frame(rest)
+    rot, trans = hand_pose(rest)
+    local = _to_local(rest, rot, trans)
     np.testing.assert_allclose(rot, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(trans, 0.0, atol=1e-12)
     np.testing.assert_allclose(local, rest, atol=1e-12)
@@ -33,7 +39,7 @@ def test_local_frame_undoes_rigid_motion():
     for _ in range(20):
         r = random_rotation(rng)
         t = rng.uniform(-1, 1, 3)
-        local, _, _ = hand_local_frame(rest @ r.T + t)
+        local = local_frame(rest @ r.T + t)
         np.testing.assert_allclose(local, rest, atol=1e-9)
 
 
@@ -41,9 +47,7 @@ def test_local_frame_invariance_between_rigid_copies():
     rng = np.random.default_rng(31)
     frame = fk_frame(angles=rng.uniform(-1.0, 1.0, 20))
     moved = frame @ random_rotation(rng).T + rng.uniform(-1, 1, 3)
-    local_a, _, _ = hand_local_frame(frame)
-    local_b, _, _ = hand_local_frame(moved)
-    np.testing.assert_allclose(local_a, local_b, atol=1e-9)
+    np.testing.assert_allclose(local_frame(frame), local_frame(moved), atol=1e-9)
 
 
 def test_ik_zero_at_rest_pose():
@@ -119,9 +123,14 @@ def fk_sequence(angle_track, **meta):
     return SkeletonSequence(pos, **meta)
 
 
+def sequence_features(seq):
+    """`finger_features` from the sequence's own pose."""
+    return finger_features(seq.positions, hand_pose(seq.positions))
+
+
 def test_static_sequence_zero_offset_dynamic():
     angles = np.tile(np.random.default_rng(34).uniform(-0.8, 0.8, 20), (13, 1))
-    feats = finger_features(fk_sequence(angles))
+    feats = sequence_features(fk_sequence(angles))
     assert feats.shape == (13, 100)
     np.testing.assert_allclose(feats[:, 20:], 0.0, atol=1e-9)
 
@@ -129,7 +138,7 @@ def test_static_sequence_zero_offset_dynamic():
 def test_first_frame_offset_zero():
     rng = np.random.default_rng(35)
     angles = rng.uniform(-0.9, 0.9, (12, 20))
-    feats = finger_features(fk_sequence(angles))
+    feats = sequence_features(fk_sequence(angles))
     np.testing.assert_allclose(feats[0, 20:40], 0.0, atol=1e-12)
 
 
@@ -140,7 +149,7 @@ def test_curl_lag10_dynamic_pose():
     flex_slots = [4 * f + d for f in range(5) for d in (0, 2, 3)]
     for t in range(frames):
         angles[t, flex_slots] = 0.02 * t
-    feats = finger_features(fk_sequence(angles))
+    feats = sequence_features(fk_sequence(angles))
     lag10 = feats[:, 80:]
     np.testing.assert_allclose(lag10[10:, flex_slots], 0.2, atol=1e-9)
     abd_slots = [4 * f + 1 for f in range(5)]
@@ -153,4 +162,4 @@ def test_feature_error_reports_frame():
     quad = FINGERS[0]
     seq.positions[3, quad[2]] = seq.positions[3, quad[1]]
     with pytest.raises(ZeroLengthBone, match="frame 3"):
-        finger_features(seq)
+        sequence_features(seq)

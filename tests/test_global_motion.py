@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from gestrec.geometry import DegenerateInput
+from gestrec.geometry import DegenerateInput, cartesian_to_spherical, rotation_to_euler
 from gestrec.global_motion import (
     InvalidConfig,
     dad_config_for_sequence,
     dad_thresholds,
     discretize_rho,
-    frame_global_pose,
     global_features,
 )
-from gestrec.hand_model import forward_kinematics
+from gestrec.hand_model import forward_kinematics, hand_pose
 from gestrec.skeleton import GLOBAL_POINTS, SkeletonSequence, palm_radius
 
 
@@ -36,6 +35,11 @@ def fk_sequence(poses, angles=None, **meta):
     pos = np.stack([forward_kinematics(poses[t], angles[t])
                     for t in range(frames)])
     return SkeletonSequence(pos, **meta)
+
+
+def sequence_features(seq, **kwargs):
+    """`global_features` from the sequence's own pose and default DAD edges."""
+    return global_features(hand_pose(seq.positions), dad_config_for_sequence(seq), **kwargs)
 
 
 def test_last_threshold_is_sigma_exactly():
@@ -122,7 +126,7 @@ def test_config_sigma_from_first_frame_palm():
 def test_static_sequence_has_zero_offset_and_dynamic():
     pose = np.array([0.2, -0.1, 0.4, 0.05, 0.02, 0.3])
     seq = fk_sequence(np.tile(pose, (14, 1)))
-    feats = global_features(seq)
+    feats = sequence_features(seq)
     assert feats.shape == (14, 30)
     np.testing.assert_allclose(feats[:, 6:], 0.0, atol=1e-9)
 
@@ -130,7 +134,7 @@ def test_static_sequence_has_zero_offset_and_dynamic():
 def test_first_frame_offset_is_zero():
     rng = np.random.default_rng(22)
     poses = rng.uniform(-0.3, 0.3, (12, 6))
-    feats = global_features(fk_sequence(poses))
+    feats = sequence_features(fk_sequence(poses))
     np.testing.assert_allclose(feats[0, 6:12], 0.0, atol=1e-12)
 
 
@@ -139,7 +143,7 @@ def test_rotating_sequence_lag5_rz():
     frames = 20
     poses = np.zeros((frames, 6))
     poses[:, 2] = 0.01 * np.arange(frames)
-    feats = global_features(fk_sequence(poses))
+    feats = sequence_features(fk_sequence(poses))
     # layout: [phi(6), op(6), dp_lag1(6), dp_lag5(6), dp_lag10(6)]
     lag5_rz = feats[6:, 18 + 5]
     np.testing.assert_allclose(lag5_rz, 0.05, atol=1e-9)
@@ -148,23 +152,23 @@ def test_rotating_sequence_lag5_rz():
 def test_phi_depends_only_on_current_frame():
     rng = np.random.default_rng(23)
     poses = rng.uniform(-0.4, 0.4, (15, 6))
-    feats_full = global_features(fk_sequence(poses))
-    feats_tail = global_features(fk_sequence(poses[5:]))
+    feats_full = sequence_features(fk_sequence(poses))
+    feats_tail = sequence_features(fk_sequence(poses[5:]))
     np.testing.assert_allclose(feats_tail[:, :6], feats_full[5:, :6], atol=1e-12)
 
 
 def test_feature_length_follows_lags():
     seq = fk_sequence(np.zeros((12, 6)))
-    assert global_features(seq, lags=(1, 2)).shape == (12, 24)
-    assert global_features(seq).shape == (12, 30)
+    assert sequence_features(seq, lags=(1, 2)).shape == (12, 24)
+    assert sequence_features(seq).shape == (12, 30)
 
 
 def test_frame_pose_recovers_planted_pose():
     pose = np.array([0.3, -0.5, 0.9, 0.12, -0.3, 0.25])
     frame = forward_kinematics(pose, np.zeros(20))
-    recovered = frame_global_pose(frame)
-    np.testing.assert_allclose(recovered.rotation, pose[:3], atol=1e-9)
-    rho, theta, phi = recovered.translation_spherical
+    rot, trans = hand_pose(frame)
+    np.testing.assert_allclose(rotation_to_euler(rot), pose[:3], atol=1e-9)
+    rho, theta, phi = cartesian_to_spherical(trans)
     assert rho == pytest.approx(np.linalg.norm(pose[3:]), abs=1e-9)
     rebuilt = rho * np.array([np.sin(theta) * np.cos(phi),
                               np.sin(theta) * np.sin(phi), np.cos(theta)])
@@ -176,7 +180,7 @@ def test_degenerate_frame_reports_index():
     seq.positions[2, list(GLOBAL_POINTS)] = np.outer(
         np.arange(7), [1.0, 0.0, 0.0])
     with pytest.raises(DegenerateInput, match="frame 2"):
-        global_features(seq)
+        hand_pose(seq.positions)
 
 
 def test_rho_bin_differenced_as_integer():
@@ -185,7 +189,7 @@ def test_rho_bin_differenced_as_integer():
     poses = np.zeros((frames, 6))
     poses[:, 3] = np.linspace(0.0, 0.12, frames)
     seq = fk_sequence(poses)
-    feats = global_features(seq)
+    feats = sequence_features(seq)
     bins = feats[:, 0]
     assert set(np.unique(bins)) <= set(range(1, 6))
     np.testing.assert_allclose(feats[:, 6], bins - bins[0], atol=0)
