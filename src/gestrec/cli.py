@@ -34,6 +34,14 @@ def _report_skipped(command: str, index) -> bool:
     return bool(index.skipped)
 
 
+def non_negative_int(text: str) -> int:
+    """The `--seed` type: numpy's generators refuse a negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
 def _add_config_arg(parser):
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value overrides for pipeline defaults")
@@ -50,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--subjects", type=int, default=6)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--scripts", type=Path, default=None,
                    help="gesture script config (default: built-in archetypes)")
 
@@ -64,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier from extracted features")
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--classes", type=int, choices=(14, 28), default=14)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--log", type=Path, default=None,
                    help="epoch log CSV (default: <out>.log.csv)")
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loocv", help="leave-one-subject-out cross-validation")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--classes", type=int, choices=(14, 28), default=14)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", type=Path, required=True)
     _add_config_arg(p)
     return parser

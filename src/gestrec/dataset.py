@@ -1,4 +1,4 @@
-"""DHG-14/28 on-disk reading and leave-one-subject-out split generation.
+"""DHG-14/28 on-disk reading.
 
 Expected tree: gesture_<g>/finger_<f>/subject_<s>/essai_<t>/skeletons_world.txt,
 one frame per line, 3J whitespace-separated decimals (x y z per joint).
@@ -31,12 +31,6 @@ class EmptyDataset(DatasetError):
     pass
 
 
-class MissingSubject(DatasetError):
-    def __init__(self, subject: int):
-        self.subject = subject
-        super().__init__(f"no entries for subject {subject}")
-
-
 class ParseError(DatasetError):
     def __init__(self, path, line: int, message: str):
         self.path = path
@@ -50,7 +44,7 @@ class DatasetEntry:
     finger: int
     subject: int
     trial: int
-    path: Path | None = None
+    path: Path
 
     @property
     def key(self):
@@ -69,17 +63,6 @@ class DatasetIndex:
 
     def __len__(self):
         return len(self.entries)
-
-    @property
-    def subjects(self) -> tuple[int, ...]:
-        return tuple(sorted({e.subject for e in self.entries}))
-
-
-@dataclass(frozen=True)
-class LoocvSplit:
-    held_out_subject: int
-    train_entries: tuple[DatasetEntry, ...]
-    test_entries: tuple[DatasetEntry, ...]
 
 
 _ENTRY_RE = re.compile(
@@ -167,23 +150,3 @@ def _first_error(path, lines: list[str], width: int) -> GestrecError:
         if not raw.isascii() or raw.split() and _convert_whole([raw], width) is None:
             return ParseError(path, lineno, "a value or separator is not plain ASCII decimal text")
     return ParseError(path, 0, "a value or separator is not plain ASCII decimal text")
-
-
-def make_loocv_splits(index: DatasetIndex) -> list[LoocvSplit]:
-    """One split per subject: that subject's entries test, the rest train.
-
-    Subjects must be contiguous from 1 to the maximum present; a gap raises
-    MissingSubject.
-    """
-    present = set(index.subjects)
-    if not present:
-        raise EmptyDataset("empty index")
-    for subject in range(1, max(present) + 1):
-        if subject not in present:
-            raise MissingSubject(subject)
-    splits = []
-    for subject in sorted(present):
-        test = tuple(e for e in index.entries if e.subject == subject)
-        train = tuple(e for e in index.entries if e.subject != subject)
-        splits.append(LoocvSplit(subject, train, test))
-    return splits

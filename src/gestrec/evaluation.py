@@ -1,17 +1,17 @@
-"""Leave-one-subject-out evaluation: per-category accuracy, split aggregation,
-confusion matrices, the 28-to-14 collapse and the finger-differentiation
-accuracy-loss metric."""
+"""Leave-one-subject-out evaluation: the per-subject splits, per-category
+accuracy, split aggregation, confusion matrices, the 28-to-14 collapse and
+the finger-differentiation accuracy-loss metric."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import DatasetEntry, DatasetIndex, EmptyDataset, make_loocv_splits
+from .dataset import EmptyDataset
 from .errors import GestrecError
 from .features import extract_features
 from .network import (
@@ -45,6 +45,12 @@ class EmptyFilter(EvaluationError):
 
 class OutOfRange(EvaluationError):
     pass
+
+
+class MissingSubject(EvaluationError):
+    def __init__(self, subject: int):
+        self.subject = subject
+        super().__init__(f"no entries for subject {subject}")
 
 
 def class_name(label: int, classes: int) -> str:
@@ -199,11 +205,9 @@ def train_from_config(config: PipelineConfig, samples: list[Sample], classes: in
     model = init_model(config.branches, input_dims, classes,
                        hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
                        dropout=config.dropout, bidirectional=config.bidirectional, seed=seed)
-    train_cfg = TrainConfig(
-        learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-        epsilon=config.epsilon, batch_size=config.batch_size, epochs=config.epochs,
-        rng_seed=seed, clip_norm=config.clip_norm, stop_accuracy=config.stop_accuracy,
-        record_accuracy=record_accuracy)
+    shared = {f.name: getattr(config, f.name) for f in fields(TrainConfig)
+              if hasattr(config, f.name)}
+    train_cfg = TrainConfig(**shared, rng_seed=seed, record_accuracy=record_accuracy)
     return model, train(model, samples, train_cfg)
 
 
@@ -212,8 +216,12 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
               features: list[dict] | None = None) -> EvaluationReport:
     """Full pipeline: features, per-subject splits, training, metrics.
 
-    Each split trains a fresh model (seeded from `seed` + held-out subject)
-    on the other subjects' features; normalization statistics come from the
+    Subjects must run from 1 to the highest one present without a gap
+    (`MissingSubject` names the first missing one), and no two sequences may
+    share a (gesture, finger, subject, trial) key. Each subject in turn, in
+    ascending order, is held out: a fresh model (seeded from `seed` + that
+    subject) trains on the other subjects' sequences and is tested on its
+    own, both in sequence order; normalization statistics come from the
     training subset only. `progress`, if given, is called with a status line
     per split. Precomputed per-sequence feature dicts, one per sequence in
     the same order, can be passed via `features` to amortize extraction
@@ -221,11 +229,16 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     """
     if not sequences:
         raise EvaluationError("no sequences to evaluate")
-    entries = tuple(
-        DatasetEntry(s.gesture, s.finger, s.subject, s.trial) for s in sequences)
-    by_key = {e.key: i for i, e in enumerate(entries)}
-    index = DatasetIndex(entries)
-    splits = make_loocv_splits(index)
+    seen = set()
+    for key in ((s.gesture, s.finger, s.subject, s.trial) for s in sequences):
+        if key in seen:
+            raise EvaluationError(f"two sequences have (gesture, finger, subject, trial) {key}")
+        seen.add(key)
+    subjects = np.array([s.subject for s in sequences])
+    present = set(subjects.tolist())
+    for subject in range(1, max(present) + 1):
+        if subject not in present:
+            raise MissingSubject(subject)
 
     if features is None:
         features = [extract_features(seq, config) for seq in sequences]
@@ -238,15 +251,14 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     pooled_preds: list[int] = []
     pooled_labels: list[int] = []
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    for split in splits:
+    for held_out in sorted(present):
         started = time.perf_counter()
-        train_idx = [by_key[e.key] for e in split.train_entries]
-        test_idx = [by_key[e.key] for e in split.test_entries]
+        train_idx = np.flatnonzero(subjects != held_out)
+        test_idx = np.flatnonzero(subjects == held_out)
         train_samples = [Sample(features[i], labels0[i]) for i in train_idx]
         test_samples = [Sample(features[i], labels0[i]) for i in test_idx]
 
-        model, log = train_from_config(config, train_samples, classes,
-                                       seed + split.held_out_subject)
+        model, log = train_from_config(config, train_samples, classes, seed + held_out)
 
         preds0, _ = evaluate(model, test_samples)
         del model  # the next split's model is built without this one alive
@@ -256,11 +268,10 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
         pooled_preds.extend(preds.tolist())
         pooled_labels.extend(labels.tolist())
         acc = _split_accuracies(preds, labels, config, classes)
-        results.append(SplitResult(split.held_out_subject, len(test_idx), acc, preds, labels,
-                                   log))
+        results.append(SplitResult(held_out, len(test_idx), acc, preds, labels, log))
         if progress is not None:
             both = acc["both"]
-            progress(f"subject {split.held_out_subject:2d}: "
+            progress(f"subject {held_out:2d}: "
                      f"test acc {both:.4f} after {len(log)} epochs, "
                      f"{time.perf_counter() - started:.2f} s")
 

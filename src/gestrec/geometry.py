@@ -31,7 +31,9 @@ def with_differences(pose: np.ndarray, lags: tuple[int, ...],
     are wrapped to (-pi, pi]; the ones before it stay plain.
     """
     t = np.arange(pose.shape[0])
-    back = np.stack([np.zeros_like(t)] + [np.maximum(t - lag, 0) for lag in lags])
+    # min() keeps a lag too large for int64 out of numpy's arithmetic
+    back = np.stack([np.zeros_like(t)]
+                    + [np.maximum(t - min(lag, len(t)), 0) for lag in lags])
     diffs = pose[None] - pose[back]
     diffs[..., first_angle:] = wrap_angle(diffs[..., first_angle:])
     return np.concatenate([pose, *diffs], axis=1)

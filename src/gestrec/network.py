@@ -815,8 +815,13 @@ def _array_manifest(model: NetworkModel):
 def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
     """Header (architecture, the model's `dtype` and the array manifest) then
     the arrays as little-endian float64, written atomically. Every float32
-    value is a float64 value too, so a float32 model is stored exactly."""
+    value is a float64 value too, so a float32 model is stored exactly. A
+    non-finite value, which `load_checkpoint` would refuse, is refused before
+    anything is written."""
     arrays = _array_manifest(model)
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name} holds a non-finite value")
     header = {
         "dtype": model.dtype.name,
         "classes": model.classes,

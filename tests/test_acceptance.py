@@ -10,7 +10,7 @@ import pytest
 
 from gestrec.cli import main
 from gestrec.config import PipelineConfig
-from gestrec.dataset import load_sequence, make_loocv_splits, scan_dataset
+from gestrec.dataset import load_sequence, scan_dataset
 from gestrec.evaluation import accuracy, confusion_matrix, larfd, run_loocv
 from gestrec.features import extract_features
 from gestrec.finger_motion import inverse_kinematics
@@ -219,12 +219,12 @@ def test_published_targets_optional_dhg_split():
     index = scan_dataset(root)
     sequences = [load_sequence(e) for e in index.entries]
     config = PipelineConfig(epochs=int(os.environ.get("GESTREC_DHG_EPOCHS", "100")))
-    split = make_loocv_splits_for_subject_one(sequences, config)
+    split = subject_one_split_accuracy(sequences, config)
     check("published-targets", split >= 0.70,
           f"subject-1 split accuracy {split:.4f} (published band 77.43-84.68)")
 
 
-def make_loocv_splits_for_subject_one(sequences, config):
+def subject_one_split_accuracy(sequences, config):
     """Single DHG split: train on subjects 2..20, test on subject 1."""
     from gestrec.evaluation import class_of, train_from_config
 

@@ -178,6 +178,47 @@ def test_extract_missing_dataset_fails(tmp_path):
     assert rc == 1
 
 
+def test_a_lag_longer_than_every_sequence_gives_the_features_of_any_other(synth_root,
+                                                                          tmp_path):
+    outs = []
+    for lag in ("1000", "99999999999999999999"):
+        config = tmp_path / f"lag{lag}.cfg"
+        config.write_text(f"lags = {lag}\n")
+        outs.append(tmp_path / f"feats{lag}")
+        assert run(["extract", "--dataset", synth_root, "--out", outs[-1],
+                    "--config", config]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert len(names) == 108 and names == sorted(path.name for path in outs[1].iterdir())
+    assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "loocv"])
+def test_negative_seed_is_usage_error(command, synth_root, feature_dir, tmp_path, capsys):
+    inputs = {"synth": ["--out", tmp_path / "data"],
+              "train": ["--features", feature_dir, "--out", tmp_path / "m.ckpt"],
+              "loocv": ["--dataset", synth_root, "--out", tmp_path / "report"]}[command]
+    with pytest.raises(SystemExit) as err:
+        run([command, *inputs, "--seed", "-1"])
+    assert err.value.code == 2
+    assert "argument --seed: must be a non-negative integer: '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_refuses_to_save_a_diverged_model(feature_dir, tmp_path, capsys):
+    config = tmp_path / "diverge.cfg"
+    config.write_text("learning_rate = 1e30\nlstm_hidden = 4\nfc_out = 4\nhead = 4\n"
+                      "epochs = 2\n")
+    ckpt = tmp_path / "m.ckpt"
+    with np.errstate(all="ignore"):  # the training overflows on purpose
+        rc = run(["train", "--features", feature_dir, "--config", config, "--out", ckpt])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == [config]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        rf"gestrec train: error: {re.escape(str(ckpt))}: array \S+ holds a non-finite value",
+        err[0]), err
+
+
 def test_train_overfits_synthetic_and_logs(feature_dir, config_file, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     rc = run(["train", "--features", feature_dir, "--classes", "14",

@@ -11,12 +11,10 @@ from gestrec.dataset import (
     DatasetIndex,
     EmptyDataset,
     MissingRoot,
-    MissingSubject,
     ParseError,
     _convert_whole,
     _first_error,
     load_sequence,
-    make_loocv_splits,
     scan_dataset,
 )
 from gestrec.skeleton import WrongJointCount
@@ -216,44 +214,7 @@ def test_whole_file_conversion_never_accepts_what_the_per_line_path_rejects():
     assert taken > 10
 
 
-def entries_for(subjects, trials=2):
-    out = []
-    for s in subjects:
-        for g in (1, 2):
-            for t in range(1, trials + 1):
-                out.append(DatasetEntry(g, 1, s, t))
-    return DatasetIndex(tuple(out))
-
-
-def test_duplicate_keys_rejected():
-    entry = DatasetEntry(1, 1, 1, 1)
+def test_duplicate_keys_rejected(tmp_path):
+    entry = DatasetEntry(1, 1, 1, 1, tmp_path / "skeletons_world.txt")
     with pytest.raises(DatasetError):
         DatasetIndex((entry, entry))
-
-
-def test_loocv_split_invariants():
-    index = entries_for(range(1, 5))
-    splits = make_loocv_splits(index)
-    assert [s.held_out_subject for s in splits] == [1, 2, 3, 4]
-    all_keys = {e.key for e in index.entries}
-    for split in splits:
-        train = {e.key for e in split.train_entries}
-        test = {e.key for e in split.test_entries}
-        assert train | test == all_keys
-        assert train & test == set()
-        assert {e.subject for e in split.test_entries} == {split.held_out_subject}
-        assert split.held_out_subject not in {e.subject for e in split.train_entries}
-
-
-def test_loocv_missing_subject():
-    index = entries_for([1, 2, 3, 4, 5, 6, 8])   # gap at 7
-    with pytest.raises(MissingSubject) as err:
-        make_loocv_splits(index)
-    assert err.value.subject == 7
-
-
-def test_loocv_test_sizes(dhg_tree):
-    root, _ = dhg_tree
-    splits = make_loocv_splits(scan_dataset(root))
-    assert len(splits) == 3
-    assert all(len(s.test_entries) == 4 for s in splits)   # 2 gestures x 2 trials

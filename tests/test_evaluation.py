@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import gestrec.evaluation as evaluation
 from gestrec.evaluation import (
     EmptyFilter,
     EvaluationError,
+    MissingSubject,
     OutOfRange,
     accuracy,
     aggregate_splits,
@@ -19,9 +21,10 @@ from gestrec.evaluation import (
     train_from_config,
     write_report,
 )
+from gestrec.config import PipelineConfig
 from gestrec.dataset import EmptyDataset
 from gestrec.features import extract_features
-from gestrec.network import Sample, ShapeMismatch, fit_normalization
+from gestrec.network import Sample, ShapeMismatch, TrainConfig, fit_normalization
 
 FINE = (1, 3, 4, 5, 6)
 
@@ -164,10 +167,14 @@ def test_run_loocv_train_normalization_excludes_test_subject(
         return log
 
     monkeypatch.setattr(evaluation, "train", spy)
-    run_loocv(tiny_sequences, tiny_config, classes=14, seed=5)
+    features = [extract_features(s, tiny_config) for s in tiny_sequences]
+    run_loocv(tiny_sequences, tiny_config, classes=14, seed=5, features=features)
     assert len(observed) == 3
     subjects = sorted({s.subject for s in tiny_sequences})
     for held_out, (model, samples) in zip(subjects, observed):
+        # exactly the other subjects' feature dicts, in sequence order
+        others = [f for f, s in zip(features, tiny_sequences) if s.subject != held_out]
+        assert [id(sample.streams) for sample in samples] == [id(f) for f in others]
         # stats recomputed from the training samples alone must match
         expected = {b: dict(model.norm[b]) for b in model.branches}
         fit_normalization(model, samples)
@@ -176,6 +183,30 @@ def test_run_loocv_train_normalization_excludes_test_subject(
                                           expected[branch]["mean"])
             np.testing.assert_array_equal(model.norm[branch]["std"],
                                           expected[branch]["std"])
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("features extracted or a model trained")
+
+
+def test_run_loocv_refuses_a_gap_in_the_subjects_before_any_work(
+        tiny_sequences, tiny_config, monkeypatch):
+    monkeypatch.setattr(evaluation, "extract_features", refuse_work)
+    monkeypatch.setattr(evaluation, "train", refuse_work)
+    without_2 = [s for s in tiny_sequences if s.subject != 2]
+    with pytest.raises(MissingSubject, match="no entries for subject 2") as err:
+        run_loocv(without_2, tiny_config)
+    assert err.value.subject == 2
+
+
+def test_run_loocv_refuses_a_repeated_key_before_any_work(
+        tiny_sequences, tiny_config, monkeypatch):
+    monkeypatch.setattr(evaluation, "extract_features", refuse_work)
+    monkeypatch.setattr(evaluation, "train", refuse_work)
+    again = tiny_sequences[4]
+    key = (again.gesture, again.finger, again.subject, again.trial)
+    with pytest.raises(EvaluationError, match=re.escape(str(key))):
+        run_loocv(list(tiny_sequences) + [again], tiny_config)
 
 
 def test_run_loocv_predictions_do_not_depend_on_the_train_accuracy_pass(
@@ -203,6 +234,25 @@ def test_train_from_config_takes_branch_widths_from_the_samples(tiny_sequences, 
     model, log = train_from_config(config, samples, 14, seed=0)
     assert model.input_dims == {"global": 24, "finger": 80, "skeleton": 66}
     assert len(log) == 1
+
+
+def test_train_config_defaults_agree_with_the_pipeline_config():
+    shared = {f.name for f in fields(TrainConfig)} & {f.name for f in fields(PipelineConfig)}
+    assert shared == {"learning_rate", "beta1", "beta2", "epsilon", "batch_size", "epochs",
+                      "clip_norm", "stop_accuracy"}
+    for name in shared:
+        assert getattr(TrainConfig(), name) == getattr(PipelineConfig(), name), name
+
+
+def test_train_from_config_passes_every_shared_field(tiny_sequences, tiny_config, monkeypatch):
+    seen = []
+    monkeypatch.setattr(evaluation, "train", lambda model, samples, cfg: seen.append(cfg))
+    changed = dict(learning_rate=0.02, beta1=0.8, beta2=0.99, epsilon=1e-7, batch_size=5,
+                   epochs=2, clip_norm=3.0, stop_accuracy=0.5)
+    config = replace(tiny_config, **changed)
+    samples = [Sample(extract_features(s, config), s.gesture - 1) for s in tiny_sequences[:2]]
+    train_from_config(config, samples, 14, seed=11, record_accuracy=True)
+    assert seen == [TrainConfig(**changed, rng_seed=11, record_accuracy=True)]
 
 
 def test_train_from_config_refuses_no_samples_and_missing_streams(tiny_config):

@@ -1193,14 +1193,36 @@ def test_malformed_checkpoint_raises_checkpoint_error(case, tmp_path):
                                          ("norm/finger/std", 0.0),
                                          ("norm/finger/std", -1.0)])
 def test_checkpoint_with_a_bad_value_is_refused(array, value, tmp_path):
+    # the value goes into the file's payload: save_checkpoint refuses a
+    # non-finite one itself
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(seed=51), path)
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    payload = np.frombuffer(rest[7:], dtype="<f8").copy()
+    end = 0
+    for name, shape in json.loads(header)["arrays"]:
+        end += math.prod(shape)
+        if name == array:
+            break
+    payload[end - 1] = value
+    path.write_bytes(b"\n".join([magic, header, rest[:7] + payload.tobytes()]))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: array {array} ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("array,value", [("params/head.out.b", float("nan")),
+                                         ("params/global.l1.fwd.U", float("inf")),
+                                         ("norm/finger/mean", float("-inf"))])
+def test_save_checkpoint_refuses_a_non_finite_value_and_writes_nothing(array, value, tmp_path):
     model = small_model(seed=51)
     kind, *key = array.split("/")
     arr = model.params[key[0]] if kind == "params" else model.norm[key[0]][key[1]]
-    arr[-1] = value
+    arr.flat[-1] = value
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: array {array} ")):
-        load_checkpoint(path)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: array {array} holds a non-finite value")):
+        save_checkpoint(model, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inference_forward_keeps_no_backward_cache():
