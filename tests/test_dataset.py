@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gestrec.evaluation as evaluation
 from gestrec.dataset import (
     DatasetEntry,
     DatasetError,
@@ -17,6 +18,7 @@ from gestrec.dataset import (
     load_sequence,
     scan_dataset,
 )
+from gestrec.evaluation import run_loocv
 from gestrec.skeleton import WrongJointCount
 from gestrec.synth import builtin_scripts, export_dhg_tree, generate_dataset
 
@@ -218,3 +220,47 @@ def test_duplicate_keys_rejected(tmp_path):
     entry = DatasetEntry(1, 1, 1, 1, tmp_path / "skeletons_world.txt")
     with pytest.raises(DatasetError):
         DatasetIndex((entry, entry))
+
+
+def record_loocv_splits(sequences, monkeypatch):
+    """Run `run_loocv` with training and inference stubbed out; return the
+    report and, per split, the indices of the sequences it trained and
+    tested on."""
+    splits = []
+
+    def fake_train(config, samples, classes, seed):
+        splits.append({"train": [s.streams["index"] for s in samples]})
+        return None, []
+
+    def fake_evaluate(model, samples):
+        splits[-1]["test"] = [s.streams["index"] for s in samples]
+        return np.zeros(len(samples), dtype=int), None
+
+    monkeypatch.setattr(evaluation, "train_from_config", fake_train)
+    monkeypatch.setattr(evaluation, "evaluate", fake_evaluate)
+    features = [{"index": i} for i in range(len(sequences))]
+    report = run_loocv(sequences, classes=14, features=features)
+    return report, splits
+
+
+def test_loocv_split_invariants(monkeypatch):
+    sequences = generate_dataset(builtin_scripts()[:2], subjects=4, trials=2, seed=3)
+    report, splits = record_loocv_splits(sequences, monkeypatch)
+    assert [r.held_out_subject for r in report.splits] == [1, 2, 3, 4]
+    everything = set(range(len(sequences)))
+    for result, split in zip(report.splits, splits):
+        train, test = set(split["train"]), set(split["test"])
+        assert split["train"] == sorted(train) and split["test"] == sorted(test)
+        assert train | test == everything
+        assert train & test == set()
+        assert {sequences[i].subject for i in test} == {result.held_out_subject}
+        assert result.held_out_subject not in {sequences[i].subject for i in train}
+
+
+def test_loocv_test_sizes(dhg_tree, monkeypatch):
+    root, _ = dhg_tree
+    sequences = [load_sequence(e) for e in scan_dataset(root).entries]
+    report, splits = record_loocv_splits(sequences, monkeypatch)
+    assert len(report.splits) == 3
+    assert all(len(s["test"]) == 4 for s in splits)   # 2 gestures x 2 trials
+    assert all(r.n_test == 4 for r in report.splits)
