@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import GestrecError
 from .geometry import DEFAULT_LAGS
+from .global_motion import MAX_DAD_BINS
 
 
 class ConfigError(GestrecError):
@@ -42,8 +43,8 @@ class PipelineConfig:
     fine_gestures: tuple[int, ...] = (1, 3, 4, 5, 6)
 
     def __post_init__(self):
-        if self.dad_bins < 1:
-            raise ConfigError(f"dad_bins must be positive: {self.dad_bins}")
+        if not 1 <= self.dad_bins <= MAX_DAD_BINS:
+            raise ConfigError(f"dad_bins must be in [1, {MAX_DAD_BINS}]: {self.dad_bins}")
         if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0):
             raise ConfigError(f"sigma_scale must be finite and positive: {self.sigma_scale}")
         if not 0.0 <= self.dropout < 1.0:

@@ -15,6 +15,7 @@ from .dataset import EmptyDataset
 from .errors import GestrecError
 from .features import extract_features
 from .network import (
+    Diverged,
     EpochStats,
     NetworkModel,
     Sample,
@@ -258,9 +259,11 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
         train_samples = [Sample(features[i], labels0[i]) for i in train_idx]
         test_samples = [Sample(features[i], labels0[i]) for i in test_idx]
 
-        model, log = train_from_config(config, train_samples, classes, seed + held_out)
-
-        preds0, _ = evaluate(model, test_samples)
+        try:
+            model, log = train_from_config(config, train_samples, classes, seed + held_out)
+            preds0, _ = evaluate(model, test_samples)
+        except Diverged as e:
+            raise Diverged(f"held-out subject {held_out}: {e}") from e
         del model  # the next split's model is built without this one alive
         preds = preds0 + 1
         labels = np.array([labels0[i] for i in test_idx]) + 1

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GestrecError
-from .geometry import DEFAULT_LAGS, with_differences
+from .geometry import DEFAULT_LAGS, cross, with_differences
 from .hand_model import PALM_NORMAL, REST_DIRECTIONS, hand_pose
 from .skeleton import FINGER_NAMES, FINGERS
 
@@ -26,7 +26,7 @@ def _to_local(pts: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.ndarray
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+    return np.add.reduce(a * b, axis=-1)
 
 
 def inverse_kinematics(frame: np.ndarray) -> np.ndarray:
@@ -47,26 +47,27 @@ def inverse_kinematics(frame: np.ndarray) -> np.ndarray:
 def _local_joint_angles(local: np.ndarray) -> np.ndarray:
     """`inverse_kinematics` of joints already in the hand-local frame."""
     bones = np.diff(local[..., np.array(FINGERS), :], axis=-2)   # (..., 5, 3, 3)
-    lengths = np.linalg.norm(bones, axis=-1)
+    lengths = np.sqrt(np.add.reduce(bones * bones, axis=-1))
     short = lengths < 1e-12
     if short.any():
         *t, f, b = np.argwhere(short)[0].tolist()
         raise ZeroLengthBone(FINGER_NAMES[f], ("proximal", "middle", "distal")[b], *t)
-    proximal, middle, distal = np.moveaxis(bones / lengths[..., None], -2, 0)
+    unit = bones / lengths[..., None]
+    proximal, middle, distal = unit[..., 0, :], unit[..., 1, :], unit[..., 2, :]
 
     n = PALM_NORMAL
     rest = REST_DIRECTIONS
     in_plane = proximal - _dot(proximal, n)[..., None] * n
-    plane_norm = np.linalg.norm(in_plane, axis=-1)[..., None]
+    plane_norm = np.sqrt(_dot(in_plane, in_plane))[..., None]
     # a finger along the palm normal has no abduction: keep the rest direction,
     # which makes abd come out as exactly 0
     along_normal = plane_norm < 1e-12
     u1 = np.where(along_normal, rest, in_plane / np.where(along_normal, 1.0, plane_norm))
-    abd = np.arctan2(_dot(np.cross(rest, u1), n), _dot(rest, u1))
+    abd = np.arctan2(_dot(cross(rest, u1), n), _dot(rest, u1))
     flex = np.arctan2(-_dot(proximal, n), _dot(proximal, u1))
-    lateral = np.cross(n, u1)
-    pip_angle = np.arctan2(_dot(np.cross(proximal, middle), lateral), _dot(proximal, middle))
-    dip_angle = np.arctan2(_dot(np.cross(middle, distal), lateral), _dot(middle, distal))
+    lateral = cross(n, u1)
+    pip_angle = np.arctan2(_dot(cross(proximal, middle), lateral), _dot(proximal, middle))
+    dip_angle = np.arctan2(_dot(cross(middle, distal), lateral), _dot(middle, distal))
     angles = np.stack([flex, abd, pip_angle, dip_angle], axis=-1).reshape(*flex.shape[:-1], 20)
     angles[angles == -np.pi] = np.pi
     return angles

@@ -138,13 +138,26 @@ def cartesian_to_spherical(v: np.ndarray):
     three (T,) arrays. The origin maps to (0, 0, 0); atan2's -pi is folded
     onto +pi.
     """
-    x, y, z = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
+    v = np.asarray(v, dtype=np.float64)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
     rho = np.sqrt(x * x + y * y + z * z)
     origin = rho == 0.0
     theta = np.where(origin, 0.0, np.arccos(np.clip(z / np.where(origin, 1.0, rho), -1.0, 1.0)))
     phi = np.arctan2(y, x)
     phi = np.where(origin, 0.0, np.where(phi == -np.pi, np.pi, phi))
     return rho[()], theta[()], phi[()]
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of float64 vectors (..., 3) broadcast against each other.
+
+    Each component is formed from the same two products and one subtraction
+    as numpy's `np.cross`, so every byte matches it; its axis moves,
+    broadcasting and dtype promotion, costly on small stacks, are skipped.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
@@ -158,4 +171,4 @@ def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     angle = np.asarray(angle, dtype=np.float64)[..., None]
     c, s = np.cos(angle), np.sin(angle)
-    return v * c + np.cross(k, v) * s + k * np.vecdot(k, v)[..., None] * (1.0 - c)
+    return v * c + cross(k, v) * s + k * np.vecdot(k, v)[..., None] * (1.0 - c)

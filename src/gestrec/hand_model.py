@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import euler_to_matrix, kabsch_align, rotate_about_axis
+from .geometry import cross, euler_to_matrix, kabsch_align, rotate_about_axis
 from .skeleton import FINGER_NAMES, FINGERS, GLOBAL_POINTS, JOINT_COUNT, MCPS, WRIST
 
 PALM_ARC_RADIUS = 0.04
@@ -85,9 +85,10 @@ def forward_kinematics(global_pose, angles) -> np.ndarray:
     """
     pose = np.asarray(global_pose, dtype=np.float64)
     th = np.asarray(angles, dtype=np.float64)
-    flex, abd, pip, dip = np.moveaxis(th.reshape(th.shape[:-1] + (5, 4)), -1, 0)
+    per_finger = th.reshape(th.shape[:-1] + (5, 4))
+    flex, abd, pip, dip = (per_finger[..., i] for i in range(4))
     u1 = rotate_about_axis(REST_DIRECTIONS, PALM_NORMAL, abd)
-    lateral = np.cross(PALM_NORMAL, u1)
+    lateral = cross(PALM_NORMAL, u1)
     proximal = rotate_about_axis(u1, lateral, flex)
     middle = rotate_about_axis(proximal, lateral, pip)
     distal = rotate_about_axis(middle, lateral, dip)

@@ -46,6 +46,10 @@ class CheckpointError(NetworkError):
     pass
 
 
+class Diverged(NetworkError):
+    """Training or inference met a non-finite loss, gradient or probability."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -729,13 +733,19 @@ def fit_normalization(model: NetworkModel, samples: list[Sample]) -> None:
 
 def evaluate(model: NetworkModel, samples: list[Sample]):
     """Inference-mode predictions in batches of `EVAL_BATCH`; returns
-    (predicted labels, probabilities)."""
+    (predicted labels, probabilities). A non-finite probability, the mark of
+    a diverged model, raises `Diverged`."""
     preds = np.empty(len(samples), dtype=int)
     all_probs = np.empty((len(samples), model.classes))
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start:start + EVAL_BATCH]
         streams, mask = pad_batch(model, chunk)
-        probs, _ = forward(model, streams, mask, train_mode=False)
+        with np.errstate(all="ignore"):  # a diverged model is reported below instead
+            probs, _ = forward(model, streams, mask, train_mode=False)
+        if not np.isfinite(probs).all():
+            row = np.argwhere(~np.isfinite(probs))[0, 0]
+            raise Diverged(f"the model has diverged: sample {start + row} has non-finite "
+                           "class probabilities")
         preds[start:start + len(chunk)] = probs.argmax(axis=1)
         all_probs[start:start + len(chunk)] = probs
     return preds, all_probs
@@ -746,6 +756,8 @@ def train(model: NetworkModel, samples: list[Sample],
     """Train in place; returns the per-epoch log.
 
     Normalization statistics are fit from `samples` before the first update.
+    The first non-finite loss or gradient norm raises `Diverged`, naming the
+    epoch and the step (the batch within it, from 1).
     Inference-mode training accuracy costs a pass over `samples` per epoch,
     so it is measured only when `config.stop_accuracy` is above 0 (training
     stops once it is reached) or `config.record_accuracy` is set. Either way
@@ -766,34 +778,44 @@ def train(model: NetworkModel, samples: list[Sample],
     measure_accuracy = config.record_accuracy or config.stop_accuracy > 0
     buffers = {}  # every step's LSTM activations, so no step faults in fresh memory
     log: list[EpochStats] = []
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(samples))
-        total_loss = 0.0
-        norms = []
-        for start in range(0, len(samples), config.batch_size):
-            batch = [samples[i] for i in order[start:start + config.batch_size]]
-            labels = np.array([s.label for s in batch])
-            streams, mask = pad_batch(model, batch)
-            probs, cache = forward(model, streams, mask, train_mode=True, rng=rng,
-                                   buffers=buffers)
-            total_loss += cross_entropy(probs, labels) * len(batch)
-            grads = backward(model, cache, labels)
-            norms.append(clip_gradients(grads, config.clip_norm))
-            adam_step(model.params, grads, state, config)
-            # of this step, only what `buffers` holds is alive at the next step's forward
-            del streams, probs, cache, grads
-        accuracy = None
-        if measure_accuracy:
-            preds, _ = evaluate(model, samples)
-            accuracy = float(np.mean(preds == labels_all))
-        norms = np.array(norms)
-        clipped = float(np.mean(norms > config.clip_norm)) if config.clip_norm > 0 else 0.0
-        log.append(EpochStats(epoch, total_loss / len(samples), accuracy,
-                              float(norms.mean()), float(norms.max()), clipped,
-                              time.perf_counter() - started))
-        if config.stop_accuracy > 0 and accuracy >= config.stop_accuracy:
-            break
+    # a diverging step overflows; the checks below report it, not numpy's warnings
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            order = rng.permutation(len(samples))
+            total_loss = 0.0
+            norms = []
+            for step, start in enumerate(range(0, len(samples), config.batch_size), start=1):
+                batch = [samples[i] for i in order[start:start + config.batch_size]]
+                labels = np.array([s.label for s in batch])
+                streams, mask = pad_batch(model, batch)
+                probs, cache = forward(model, streams, mask, train_mode=True, rng=rng,
+                                       buffers=buffers)
+                loss = cross_entropy(probs, labels)
+                if not math.isfinite(loss):
+                    raise Diverged(f"training diverged at epoch {epoch}, step {step}: "
+                                   f"the loss is {loss}")
+                total_loss += loss * len(batch)
+                grads = backward(model, cache, labels)
+                norm = clip_gradients(grads, config.clip_norm)
+                if not math.isfinite(norm):
+                    raise Diverged(f"training diverged at epoch {epoch}, step {step}: "
+                                   f"the gradient norm is {norm}")
+                norms.append(norm)
+                adam_step(model.params, grads, state, config)
+                # of this step, only what `buffers` holds is alive at the next step's forward
+                del streams, probs, cache, grads
+            accuracy = None
+            if measure_accuracy:
+                preds, _ = evaluate(model, samples)
+                accuracy = float(np.mean(preds == labels_all))
+            norms = np.array(norms)
+            clipped = float(np.mean(norms > config.clip_norm)) if config.clip_norm > 0 else 0.0
+            log.append(EpochStats(epoch, total_loss / len(samples), accuracy,
+                                  float(norms.mean()), float(norms.max()), clipped,
+                                  time.perf_counter() - started))
+            if config.stop_accuracy > 0 and accuracy >= config.stop_accuracy:
+                break
     return log
 
 

@@ -39,6 +39,8 @@ class GestureScript:
     amp_jitter: float = 0.18
     speed_jitter: float = 0.15
     noise_sigma: float = 0.001
+    # (channel column, times, values) of each non-empty curve, for `sample`
+    _tables: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if not 1 <= self.duration[0] <= self.duration[1]:
@@ -53,6 +55,7 @@ class GestureScript:
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidConfig(f"script {self.name}: noise_sigma must be finite and "
                                 f"non-negative: {self.noise_sigma}")
+        tables = []
         for channel, points in self.curves.items():
             if channel not in GLOBAL_CHANNELS and channel not in ANGLE_CHANNELS:
                 raise InvalidConfig(f"unknown channel {channel!r} in script {self.name}")
@@ -66,14 +69,18 @@ class GestureScript:
             if channel in ANGLE_CHANNELS and np.any(np.abs(values) > ANGLE_LIMIT):
                 raise InvalidConfig(
                     f"script {self.name}: {channel} exceeds +/-{ANGLE_LIMIT} rad")
+            if points:
+                tables.append(((GLOBAL_CHANNELS + ANGLE_CHANNELS).index(channel), times, values))
+        # converted once here, not per trial
+        object.__setattr__(self, "_tables", tuple(tables))
 
-    def sample(self, channel: str, tau: np.ndarray) -> np.ndarray:
-        points = self.curves.get(channel)
-        if not points:
-            return np.zeros_like(tau)
-        times = np.array([t for t, _ in points])
-        values = np.array([v for _, v in points])
-        return np.interp(tau, times, values)
+    def sample(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The global pose (len(tau), 6) and finger angles (len(tau), 20) the
+        curves give at normalized times `tau`; a channel without one is 0."""
+        channels = np.zeros((len(tau), len(GLOBAL_CHANNELS) + len(ANGLE_CHANNELS)))
+        for column, times, values in self._tables:
+            channels[:, column] = np.interp(tau, times, values)
+        return channels[:, :len(GLOBAL_CHANNELS)], channels[:, len(GLOBAL_CHANNELS):]
 
 
 def _ramp(peak: float) -> Curve:
@@ -136,8 +143,7 @@ def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
                 trial_amp = amp * (1.0 + trial_rng.uniform(-0.05, 0.05))
                 tau = np.linspace(0.0, 1.0, frames)
 
-                pose = np.stack([script.sample(ch, tau) for ch in GLOBAL_CHANNELS], axis=1)
-                angles = np.stack([script.sample(ch, tau) for ch in ANGLE_CHANNELS], axis=1)
+                pose, angles = script.sample(tau)
                 pose *= trial_amp
                 angles = np.clip(angles * trial_amp, -ANGLE_LIMIT, ANGLE_LIMIT)
 
@@ -158,7 +164,9 @@ def export_dhg_tree(sequences: list[SkeletonSequence], root: str | Path) -> Path
                      / f"subject_{seq.subject}" / f"essai_{seq.trial}")
         directory.mkdir(parents=True, exist_ok=True)
         flat = seq.positions.reshape(seq.num_frames, -1)
-        lines = [" ".join(f"{v:.9g}" for v in row) for row in flat]
+        # "%.9g" % v is format(v, ".9g"), one formatting call per row
+        row_format = " ".join(["%.9g"] * flat.shape[1])
+        lines = [row_format % tuple(row) for row in flat.tolist()]
         (directory / "skeletons_world.txt").write_text("\n".join(lines) + "\n")
     return root
 

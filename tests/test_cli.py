@@ -5,8 +5,10 @@ import os
 import pkgutil
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,19 +206,59 @@ def test_negative_seed_is_usage_error(command, synth_root, feature_dir, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+DIVERGING_CONFIG = "learning_rate = 1e30\nlstm_hidden = 4\nfc_out = 4\nhead = 4\nepochs = 2\n"
+
+
 def test_train_refuses_to_save_a_diverged_model(feature_dir, tmp_path, capsys):
     config = tmp_path / "diverge.cfg"
-    config.write_text("learning_rate = 1e30\nlstm_hidden = 4\nfc_out = 4\nhead = 4\n"
-                      "epochs = 2\n")
+    config.write_text(DIVERGING_CONFIG)
     ckpt = tmp_path / "m.ckpt"
-    with np.errstate(all="ignore"):  # the training overflows on purpose
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = run(["train", "--features", feature_dir, "--config", config, "--out", ckpt])
     assert rc == 1
     assert list(tmp_path.iterdir()) == [config]
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and re.fullmatch(
-        rf"gestrec train: error: {re.escape(str(ckpt))}: array \S+ holds a non-finite value",
-        err[0]), err
+    assert [str(w.message) for w in caught] == []  # numpy's overflow warnings stay off stderr
+    assert capsys.readouterr().err.splitlines() == [
+        "gestrec train: error: training diverged at epoch 1, step 2: the loss is nan"]
+
+
+def test_loocv_refuses_a_diverged_split_and_writes_no_report(synth_root, tmp_path, capsys):
+    config = tmp_path / "diverge.cfg"
+    config.write_text(DIVERGING_CONFIG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["loocv", "--dataset", synth_root, "--config", config,
+                  "--out", tmp_path / "report"])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == [config]
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "gestrec loocv: error: held-out subject 1: training diverged at epoch 2, step 1: "
+        "the loss is nan"]
+
+
+@pytest.mark.parametrize("command", ["extract", "loocv"])
+def test_a_huge_dad_bins_is_refused_before_any_work(command, synth_root, tmp_path, capsys):
+    # without an upper bound, the bin edges are built one Python step per bin
+    config = tmp_path / "bins.cfg"
+    config.write_text(f"dad_bins = {10 ** 30}\n")
+
+    def expire(signum, frame):
+        pytest.fail(f"gestrec {command} still running after 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(3)
+    try:
+        rc = run([command, "--dataset", synth_root, "--config", config,
+                  "--out", tmp_path / "out"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == [config]
+    assert capsys.readouterr().err.splitlines() == [
+        f"gestrec {command}: error: {config}: dad_bins must be in [1, 1000]: {10 ** 30}"]
 
 
 def test_train_overfits_synthetic_and_logs(feature_dir, config_file, tmp_path):

@@ -70,7 +70,8 @@ def test_config_validation():
         PipelineConfig(branches=("global", "finger", "global"))
 
 
-@pytest.mark.parametrize("line", ["dad_bins = 0", "dad_bins = -2", "sigma_scale = nan",
+@pytest.mark.parametrize("line", ["dad_bins = 0", "dad_bins = -2", "dad_bins = 1001",
+                                  f"dad_bins = {10 ** 30}", "sigma_scale = nan",
                                   "sigma_scale = inf", "sigma_scale = 0", "sigma_scale = -1.5"])
 def test_load_config_rejects_bad_dad_settings(line, tmp_path):
     # caught at load time, not once per sequence during extraction

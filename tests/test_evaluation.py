@@ -24,7 +24,7 @@ from gestrec.evaluation import (
 from gestrec.config import PipelineConfig
 from gestrec.dataset import EmptyDataset
 from gestrec.features import extract_features
-from gestrec.network import Sample, ShapeMismatch, TrainConfig, fit_normalization
+from gestrec.network import Diverged, Sample, ShapeMismatch, TrainConfig, fit_normalization
 
 FINE = (1, 3, 4, 5, 6)
 
@@ -207,6 +207,12 @@ def test_run_loocv_refuses_a_repeated_key_before_any_work(
     key = (again.gesture, again.finger, again.subject, again.trial)
     with pytest.raises(EvaluationError, match=re.escape(str(key))):
         run_loocv(list(tiny_sequences) + [again], tiny_config)
+
+
+def test_run_loocv_names_the_held_out_subject_of_a_diverged_split(tiny_sequences, tiny_config):
+    with pytest.raises(Diverged, match=r"^held-out subject 1: training diverged at epoch \d+, "
+                                       r"step \d+: the loss is nan$"):
+        run_loocv(tiny_sequences, replace(tiny_config, learning_rate=1e30))
 
 
 def test_run_loocv_predictions_do_not_depend_on_the_train_accuracy_pass(

@@ -6,6 +6,7 @@ from gestrec.geometry import (
     DegenerateInput,
     NotARotation,
     cartesian_to_spherical,
+    cross,
     euler_to_matrix,
     kabsch_align,
     rotation_to_euler,
@@ -216,3 +217,26 @@ def test_spherical_stack_matches_per_frame_calls():
     for i, row in enumerate(v):
         np.testing.assert_allclose(stacked[i], cartesian_to_spherical(row), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(stacked[5], 0.0)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3,), (3,)), ((40, 3), (40, 3)), ((7, 5, 3), (7, 5, 3)),
+    # the broadcasts forward and inverse kinematics make
+    ((3,), (7, 5, 3)), ((5, 3), (7, 5, 3)), ((7, 5, 3), (5, 3))])
+def test_cross_is_bytewise_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(29)
+    a, b = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            for shape in (shape_a, shape_b))
+    expected = np.cross(a, b)
+    got = cross(a, b)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_cross_keeps_numpys_signed_zeros():
+    # every vector with components from {0, -0, 1, -1}, crossed with every other
+    parts = (0.0, -0.0, 1.0, -1.0)
+    vectors = np.array([(x, y, z) for x in parts for y in parts for z in parts])
+    a, b = vectors[:, None], vectors[None]
+    expected = np.cross(a, b)
+    assert np.signbit(expected[expected == 0.0]).any()
+    assert cross(a, b).tobytes() == expected.tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 from gestrec.geometry import DegenerateInput, cartesian_to_spherical, rotation_to_euler
 from gestrec.global_motion import (
+    MAX_DAD_BINS,
     InvalidConfig,
     dad_config_for_sequence,
     dad_thresholds,
@@ -93,6 +94,9 @@ def test_thresholds_match_the_erfinv_closed_form():
 def test_invalid_config():
     with pytest.raises(InvalidConfig):
         dad_thresholds(0, 1.0)
+    assert dad_thresholds(MAX_DAD_BINS, 1.0)[-1] == 1.0
+    with pytest.raises(InvalidConfig):
+        dad_thresholds(MAX_DAD_BINS + 1, 1.0)
     with pytest.raises(InvalidConfig):
         dad_thresholds(5, -1.0)
     for sigma in (float("nan"), float("inf")):

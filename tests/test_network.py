@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import gestrec.network as network
 from gestrec.network import (
     CheckpointError,
+    Diverged,
     EmptyDataset,
     InvalidMask,
     LabelOutOfRange,
@@ -22,6 +24,7 @@ from gestrec.network import (
     backward,
     cross_entropy,
     evaluate,
+    fit_normalization,
     forward,
     init_model,
     load_checkpoint,
@@ -894,6 +897,46 @@ def test_zero_learning_rate_keeps_parameters():
     train(model, samples, TrainConfig(learning_rate=0.0, epochs=2, batch_size=4, rng_seed=3))
     for key, arr in model.params.items():
         np.testing.assert_array_equal(arr, before[key])
+
+
+def test_train_stops_at_the_first_non_finite_loss_without_warnings():
+    model = small_model(seed=21)
+    samples = make_samples(model, np.random.default_rng(22))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Diverged, match=r"^training diverged at epoch 1, step 2: "
+                                           r"the loss is nan$"):
+            train(model, samples, TrainConfig(learning_rate=1e30, epochs=3, batch_size=4,
+                                              rng_seed=3))
+    assert [str(w.message) for w in caught] == []
+
+
+def test_train_stops_at_a_non_finite_gradient_norm_before_the_update(monkeypatch):
+    model = small_model(seed=21)
+    samples = make_samples(model, np.random.default_rng(22))
+    before = {k: v.copy() for k, v in model.params.items()}
+    monkeypatch.setattr(network, "clip_gradients", lambda grads, clip_norm: math.inf)
+    with pytest.raises(Diverged, match=r"^training diverged at epoch 1, step 1: "
+                                       r"the gradient norm is inf$"):
+        train(model, samples, TrainConfig(epochs=2, batch_size=4, rng_seed=3))
+    for key, arr in model.params.items():
+        np.testing.assert_array_equal(arr, before[key])
+
+
+def test_evaluate_refuses_non_finite_probabilities():
+    model = small_model(seed=23)
+    samples = make_samples(model, np.random.default_rng(24), count=70)
+    fit_normalization(model, samples)
+    evaluate(model, samples)
+    # a sample of the second batch of `EVAL_BATCH` is named by its index
+    samples[network.EVAL_BATCH + 1].streams["finger"][2, 3] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Diverged, match=rf"^the model has diverged: sample "
+                                           rf"{network.EVAL_BATCH + 1} has non-finite class "
+                                           rf"probabilities$"):
+            evaluate(model, samples)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("field,value", [

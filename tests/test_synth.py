@@ -4,6 +4,7 @@ import pytest
 from gestrec.dataset import EmptyDataset, load_sequence, scan_dataset
 from gestrec.features import extract_features
 from gestrec.hand_model import REST_POSITIONS, forward_kinematics
+from gestrec.skeleton import SkeletonSequence
 from gestrec.synth import (
     GestureScript,
     InvalidConfig,
@@ -109,8 +110,23 @@ def test_export_scan_load_roundtrip(tmp_path):
     by_key = {(s.gesture, s.finger, s.subject, s.trial): s for s in seqs}
     for entry in index.entries:
         loaded = load_sequence(entry)
-        np.testing.assert_allclose(loaded.positions, by_key[entry.key].positions,
-                                   atol=1e-8)
+        # the file holds each value to 9 significant digits, read back exactly
+        positions = by_key[entry.key].positions
+        written = np.array([float(format(v, ".9g")) for v in positions.ravel().tolist()])
+        np.testing.assert_array_equal(loaded.positions, written.reshape(positions.shape))
+
+
+def test_export_text_is_each_value_formatted_to_nine_digits(tmp_path):
+    positions = np.random.default_rng(13).normal(scale=0.1, size=(4, 22, 3))
+    positions[0, 0] = (-0.0, 5e-324, 1e300)
+    positions[3, 21] = (0.0, -1e-300, 123456789.123456)
+    export_dhg_tree([SkeletonSequence(positions, gesture=2, finger=1, subject=3, trial=4)],
+                    tmp_path)
+    text = (tmp_path / "gesture_2" / "finger_1" / "subject_3" / "essai_4"
+            / "skeletons_world.txt").read_text()
+    rows = positions.reshape(4, 66)
+    assert text == "".join(" ".join(format(v, ".9g") for v in row) + "\n" for row in rows)
+    assert text.startswith("-0 4.94065646e-324 1e+300 ")
 
 
 def test_export_empty_gives_empty_tree(tmp_path):
