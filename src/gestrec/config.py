@@ -17,7 +17,38 @@ class ConfigError(GestrecError):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class Optimization:
+    """Adam's and the training loop's settings, shared by `PipelineConfig` and
+    `network.TrainConfig`; `error` is the exception a bad value raises."""
+
+    error = ConfigError
+    learning_rate: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    batch_size: int = 32
+    epochs: int = 100
+    clip_norm: float = 5.0      # 0 disables clipping
+    stop_accuracy: float = 0.0  # 0 disables early stopping
+
+    def __post_init__(self):
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise self.error(f"{name} must be positive: {getattr(self, name)}")
+        for name in ("learning_rate", "epsilon", "clip_norm"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise self.error(f"{name} must be finite and non-negative: {getattr(self, name)}")
+        if self.epsilon == 0:
+            raise self.error("epsilon must be positive: 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise self.error(f"{name} must be in [0, 1): {getattr(self, name)}")
+        if not 0.0 <= self.stop_accuracy <= 1.0:
+            raise self.error(f"stop_accuracy must be in [0, 1]: {self.stop_accuracy}")
+
+
+@dataclass(frozen=True)
+class PipelineConfig(Optimization):
     # feature extraction
     dad_bins: int = 5
     sigma_scale: float = 1.5
@@ -30,15 +61,6 @@ class PipelineConfig:
     head: tuple[int, ...] = (256, 128)
     dropout: float = 0.3
     bidirectional: bool = True
-    # optimization
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 32
-    epochs: int = 100
-    clip_norm: float = 5.0
-    stop_accuracy: float = 0.0
     # evaluation
     fine_gestures: tuple[int, ...] = (1, 3, 4, 5, 6)
 
@@ -65,45 +87,35 @@ class PipelineConfig:
             raise ConfigError(f"head widths must be positive: {self.head}")
         if any(lag < 1 for lag in self.lags):
             raise ConfigError(f"lags must be positive: {self.lags}")
-        check_optimization(self, ConfigError)
+        super().__post_init__()
 
 
-def check_optimization(config, error: type[GestrecError]) -> None:
-    """Raise `error` unless the optimization fields of `config`, a
-    `PipelineConfig` or a `network.TrainConfig`, are usable."""
-    for name in ("batch_size", "epochs"):
-        if getattr(config, name) < 1:
-            raise error(f"{name} must be positive: {getattr(config, name)}")
-    for name in ("learning_rate", "epsilon", "clip_norm"):
-        if not (math.isfinite(getattr(config, name)) and getattr(config, name) >= 0):
-            raise error(f"{name} must be finite and non-negative: {getattr(config, name)}")
-    if config.epsilon == 0:
-        raise error("epsilon must be positive: 0")
-    for name in ("beta1", "beta2"):
-        if not 0.0 <= getattr(config, name) < 1.0:
-            raise error(f"{name} must be in [0, 1): {getattr(config, name)}")
-    if not 0.0 <= config.stop_accuracy <= 1.0:
-        raise error(f"stop_accuracy must be in [0, 1]: {config.stop_accuracy}")
+def settings_lines(path: str | Path, error: type[GestrecError]):
+    """Yield (`path:lineno`, raw line, its text before any `#`, stripped) for each
+    line with such text in the UTF-8 file at `path`; other bytes raise `error`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e})") from e
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{path}:{lineno}", raw, line
 
 
-_INT_TUPLES = {"lags", "head", "fine_gestures"}
-_STR_TUPLES = {"branches"}
-_BOOLS = {"bidirectional"}
-
-
-def _parse_value(name: str, text: str, target_type: type):
-    if name in _INT_TUPLES:
-        return tuple(int(x) for x in text.replace(",", " ").split())
-    if name in _STR_TUPLES:
-        return tuple(x.strip() for x in text.split(",") if x.strip())
-    if name in _BOOLS:
+def _parse_value(name: str, text: str, default):
+    """`text` read in the format of the field whose default is `default`."""
+    if isinstance(default, bool):
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {text!r}")
-    return target_type(text)
+    if isinstance(default, tuple):
+        parts = text.split(",") if isinstance(default[0], str) else text.replace(",", " ").split()
+        return tuple(type(default[0])(x.strip()) for x in parts if x.strip())
+    return type(default)(text)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -111,26 +123,18 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     config = PipelineConfig()
     if path is None:
         return config
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    typed = {f.name: type(getattr(config, f.name)) for f in fields(PipelineConfig)}
+    defaults = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
     overrides = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, _, line in settings_lines(path, ConfigError):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in defaults:
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            overrides[key] = _parse_value(key, value, typed[key])
+            overrides[key] = _parse_value(key, value, defaults[key])
         except (ValueError, TypeError) as e:
-            raise ConfigError(f"{path}:{lineno}: {e}") from e
+            raise ConfigError(f"{where}: {e}") from e
     try:
         return replace(config, **overrides)
     except ConfigError as e:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import Optimization, PipelineConfig
 from .dataset import EmptyDataset
 from .errors import GestrecError
 from .features import extract_features
@@ -206,8 +206,7 @@ def train_from_config(config: PipelineConfig, samples: list[Sample], classes: in
     model = init_model(config.branches, input_dims, classes,
                        hidden=config.lstm_hidden, fc_out=config.fc_out, head=config.head,
                        dropout=config.dropout, bidirectional=config.bidirectional, seed=seed)
-    shared = {f.name: getattr(config, f.name) for f in fields(TrainConfig)
-              if hasattr(config, f.name)}
+    shared = {f.name: getattr(config, f.name) for f in fields(Optimization)}
     train_cfg = TrainConfig(**shared, rng_seed=seed, record_accuracy=record_accuracy)
     return model, train(model, samples, train_cfg)
 
@@ -226,12 +225,14 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
     training subset only. `progress`, if given, is called with a status line
     per split. Precomputed per-sequence feature dicts, one per sequence in
     the same order, can be passed via `features` to amortize extraction
-    across repeated runs.
+    across repeated runs; without them, a sequence whose extraction fails
+    raises `EvaluationError` naming its key.
     """
     if not sequences:
         raise EvaluationError("no sequences to evaluate")
+    keys = [(s.gesture, s.finger, s.subject, s.trial) for s in sequences]
     seen = set()
-    for key in ((s.gesture, s.finger, s.subject, s.trial) for s in sequences):
+    for key in keys:
         if key in seen:
             raise EvaluationError(f"two sequences have (gesture, finger, subject, trial) {key}")
         seen.add(key)
@@ -242,7 +243,12 @@ def run_loocv(sequences: list[SkeletonSequence], config: PipelineConfig = Pipeli
             raise MissingSubject(subject)
 
     if features is None:
-        features = [extract_features(seq, config) for seq in sequences]
+        features = []
+        for seq, key in zip(sequences, keys):
+            try:
+                features.append(extract_features(seq, config))
+            except GestrecError as e:
+                raise EvaluationError(f"sequence {key}: {e}") from e
     elif len(features) != len(sequences):
         raise EvaluationError(f"features has {len(features)} entries for "
                               f"{len(sequences)} sequences")

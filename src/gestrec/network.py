@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .config import check_optimization
+from .config import Optimization
 from .dataset import EmptyDataset
 from .errors import GestrecError
 
@@ -51,20 +51,10 @@ class Diverged(NetworkError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 32
-    epochs: int = 100
+class TrainConfig(Optimization):
+    error = NetworkError
     rng_seed: int = 0
-    clip_norm: float = 5.0      # 0 disables clipping
-    stop_accuracy: float = 0.0  # 0 disables early stopping
     record_accuracy: bool = False  # measure train accuracy even without early stopping
-
-    def __post_init__(self):
-        check_optimization(self, NetworkError)
 
 
 @dataclass

@@ -42,6 +42,9 @@ class ZeroAmplitude(SkeletonError):
     pass
 
 
+# the largest |coordinate| accepted, in meters; feature sums of squares overflow from 1e154
+MAX_COORDINATE = 1e100
+
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
 
@@ -81,18 +84,18 @@ class SkeletonSequence:
 
 
 def validate_sequence(seq: SkeletonSequence) -> SkeletonSequence:
-    """Check frame and joint counts and finiteness; return the sequence unchanged."""
+    """Check the shape and that every coordinate is finite and bounded; return it unchanged."""
     pos = seq.positions
-    if pos.ndim != 3 or pos.shape[2] != 3:
+    if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[1] != JOINT_COUNT:
         raise WrongJointCount(0, pos.shape[1] if pos.ndim >= 2 else 0, JOINT_COUNT)
-    if pos.shape[1] != JOINT_COUNT:
-        raise WrongJointCount(0, pos.shape[1], JOINT_COUNT)
     if pos.shape[0] == 0:
         raise EmptySequence("sequence has no frames")
-    finite = np.isfinite(pos).all(axis=2)
-    if not finite.all():
-        frame, joint = np.argwhere(~finite)[0]
-        raise NonFiniteCoordinate(int(frame), int(joint))
+    bounded = (np.abs(pos) <= MAX_COORDINATE).all(axis=2)  # false for NaN and inf too
+    if not bounded.all():
+        frame, joint = (int(i) for i in np.argwhere(~bounded)[0])
+        if not np.isfinite(pos[frame, joint]).all():
+            raise NonFiniteCoordinate(frame, joint)
+        raise SkeletonError(f"|coordinate| > {MAX_COORDINATE:g} at frame {frame}, joint {joint}")
     return seq
 
 

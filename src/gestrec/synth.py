@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import settings_lines
 from .errors import InvalidConfig
 from .hand_model import (
     ANGLE_CHANNELS,
@@ -22,6 +23,9 @@ from .hand_model import (
 from .skeleton import SkeletonSequence
 
 ANGLE_LIMIT = 1.2
+# The longest script duration, in frames: DHG clips run 20-150, and speed jitter
+# can nearly double it, to 20 000 frames (11 MB of joint positions) per trial.
+MAX_DURATION = 10_000
 
 
 Curve = tuple[tuple[float, float], ...]  # (time in [0,1], value) control points
@@ -45,6 +49,8 @@ class GestureScript:
     def __post_init__(self):
         if not 1 <= self.duration[0] <= self.duration[1]:
             raise InvalidConfig(f"script {self.name}: bad duration range {self.duration}")
+        if self.duration[1] > MAX_DURATION:
+            raise InvalidConfig(f"script {self.name}: duration above {MAX_DURATION} frames")
         if self.gesture < 1 or self.finger not in (1, 2):
             raise InvalidConfig(f"script {self.name}: gesture must be at least 1 and finger "
                                 f"1 or 2, got {self.gesture} and {self.finger}")
@@ -191,15 +197,7 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
             raise InvalidConfig(f"script {name}: missing gesture id")
         scripts.append(GestureScript(name=name, curves=dict(curves), **fields))
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise InvalidConfig(f"{path}: not UTF-8 text ({e})") from e
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    for where, raw, line in settings_lines(path, InvalidConfig):
         if line.startswith("[") and line.endswith("]"):
             flush()
             parts = line[1:-1].split()
@@ -219,11 +217,8 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
             elif key in ("amp_jitter", "speed_jitter", "noise_sigma"):
                 fields[key] = float(value)
             else:
-                points = []
-                for chunk in value.split(","):
-                    t, v = chunk.split(":")
-                    points.append((float(t), float(v)))
-                curves[key] = tuple(points)
+                pairs = (chunk.split(":") for chunk in value.split(","))
+                curves[key] = tuple((float(t), float(v)) for t, v in pairs)
         except ValueError as e:
             raise InvalidConfig(f"{where}: bad value for {key!r}: {value!r} ({e})") from e
     flush()

@@ -16,10 +16,12 @@ import pytest
 
 import gestrec
 from gestrec.cli import main
-from gestrec.dataset import scan_dataset
+from gestrec.dataset import load_sequence, scan_dataset
 from gestrec.errors import GestrecError
 from gestrec.features import read_feature_file, write_feature_file
 from gestrec.network import load_checkpoint
+from gestrec.skeleton import MCPS, PALM
+from gestrec.synth import export_dhg_tree
 
 TINY_CONFIG = """
 # fast settings for CLI tests
@@ -238,6 +240,45 @@ def test_loocv_refuses_a_diverged_split_and_writes_no_report(synth_root, tmp_pat
         "the loss is nan"]
 
 
+def _with_first_sequence_changed(synth_root, tmp_path, change):
+    """A copy of the synth tree whose first sequence has `change` applied to
+    its positions; returns (tree root, that sequence's skeleton file)."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_root, data)
+    entry = scan_dataset(data).entries[0]
+    seq = load_sequence(entry)
+    change(seq.positions)
+    export_dhg_tree([seq], data)
+    return data, entry.path
+
+
+@pytest.mark.parametrize("command", ["extract", "loocv"])
+def test_coordinates_that_would_overflow_are_one_line_errors(command, synth_root, tmp_path,
+                                                              capsys):
+    data, path = _with_first_sequence_changed(synth_root, tmp_path,
+                                              lambda p: np.multiply(p, 1e160, out=p))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run([command, "--dataset", data, "--out", tmp_path / "out"])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    where = {"extract": f"{path}", "loocv": "sequence (1, 1, 1, 1)"}[command]
+    assert capsys.readouterr().err.splitlines() == [
+        f"gestrec {command}: error: {where}: |coordinate| > 1e+100 at frame 0, joint 0"]
+
+
+def test_loocv_names_the_sequence_whose_features_fail(synth_root, tmp_path, capsys):
+    def collapse_palm(positions):
+        positions[0, list(MCPS)] = positions[0, PALM]
+
+    data, _ = _with_first_sequence_changed(synth_root, tmp_path, collapse_palm)
+    assert run(["loocv", "--dataset", data, "--out", tmp_path / "report"]) == 1
+    assert not (tmp_path / "report").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "gestrec loocv: error: sequence (1, 1, 1, 1): all MCP joints coincide with the palm "
+        "joint"]
+
+
 @pytest.mark.parametrize("command", ["extract", "loocv"])
 def test_a_huge_dad_bins_is_refused_before_any_work(command, synth_root, tmp_path, capsys):
     # without an upper bound, the bin edges are built one Python step per bin
@@ -382,6 +423,9 @@ MALFORMED = [
     ("train", "config", TINY_CONFIG + f"lstm_hidden = {10 ** 399}\n"),
     ("train", "config", TINY_CONFIG + f"fc_out = {10 ** 399}\n"),
     ("loocv", "config", TINY_CONFIG + f"head = 8, {10 ** 399}\n"),
+    # numpy would allocate every frame, or fail in the trial's draw past int64
+    ("synth", "scripts", f"[script a]\ngesture = 1\nduration = 1 {10 ** 20}\n"
+                         "[script b]\ngesture = 2\n"),
 ]
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from gestrec.config import ConfigError, PipelineConfig, load_config
@@ -35,6 +37,22 @@ def test_load_config_overrides(tmp_path):
     assert config.bidirectional is False
     assert config.euler_convention == "zyx"
     assert config.epochs == 100    # untouched default
+
+
+def test_load_config_reads_every_field_in_its_own_format(tmp_path):
+    values = dict(dad_bins=7, sigma_scale=2.25, lags=(2, 4, 9), euler_convention="zyx",
+                  branches=("skeleton", "global"), lstm_hidden=17, fc_out=9, head=(12, 6, 3),
+                  dropout=0.125, bidirectional=False, learning_rate=0.02, beta1=0.8,
+                  beta2=0.99, epsilon=1e-7, batch_size=5, epochs=3, clip_norm=2.5,
+                  stop_accuracy=0.75, fine_gestures=(2, 7))
+    assert values.keys() == {f.name for f in fields(PipelineConfig)}
+    assert all(value != getattr(PipelineConfig(), name) for name, value in values.items())
+    text = {"lags": "2, 4 9", "branches": "skeleton , global", "head": "12 6 3",
+            "bidirectional": "no", "fine_gestures": "2,7"}
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{name} = {text.get(name, value)}\n"
+                            for name, value in values.items()))
+    assert load_config(path) == PipelineConfig(**values)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

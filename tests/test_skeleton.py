@@ -7,12 +7,14 @@ from gestrec.skeleton import (
     FINGERS,
     GLOBAL_POINTS,
     JOINT_COUNT,
+    MAX_COORDINATE,
     MCPS,
     PALM,
     WRIST,
     DegeneratePalm,
     EmptySequence,
     NonFiniteCoordinate,
+    SkeletonError,
     SkeletonSequence,
     WrongJointCount,
     ZeroAmplitude,
@@ -48,6 +50,19 @@ def test_validate_flags_nan_position():
     with pytest.raises(NonFiniteCoordinate) as err:
         validate_sequence(seq)
     assert (err.value.frame, err.value.joint) == (3, 7)
+
+
+def test_validate_bounds_every_coordinate():
+    seq = random_sequence(np.random.default_rng(2))
+    seq.positions[0, 0] = (MAX_COORDINATE, -MAX_COORDINATE, 0.0)
+    assert validate_sequence(seq) is seq
+    seq.positions[2, 5, 2] = -1e160  # its squares would overflow float64
+    with pytest.raises(SkeletonError, match=r"^\|coordinate\| > 1e\+100 at frame 2, joint 5$"):
+        validate_sequence(seq)
+    seq.positions[1, 9, 0] = np.inf  # an earlier frame is reported first
+    with pytest.raises(NonFiniteCoordinate) as err:
+        validate_sequence(seq)
+    assert (err.value.frame, err.value.joint) == (1, 9)
 
 
 def test_validate_wrong_joint_count():

@@ -6,6 +6,7 @@ from gestrec.features import extract_features
 from gestrec.hand_model import REST_POSITIONS, forward_kinematics
 from gestrec.skeleton import SkeletonSequence
 from gestrec.synth import (
+    MAX_DURATION,
     GestureScript,
     InvalidConfig,
     builtin_scripts,
@@ -62,6 +63,12 @@ def test_script_rejects_malformed_fields(fields):
 def test_script_accepts_the_field_boundaries():
     GestureScript("edges", 1, {"tx": ((0.0, 0.0), (1.0, 0.1))}, finger=2, amp_jitter=0.0,
                   speed_jitter=0.0, noise_sigma=0.0)
+
+
+def test_script_duration_is_bounded():
+    GestureScript("longest", 1, duration=(1, MAX_DURATION))
+    with pytest.raises(InvalidConfig, match=f"^script long: duration above {MAX_DURATION} frames$"):
+        GestureScript("long", 1, duration=(1, MAX_DURATION + 1))
 
 
 def test_generate_counts_and_metadata():
