@@ -11,13 +11,7 @@ from .config import load_config
 from .dataset import load_sequence, scan_dataset
 from .errors import GestrecError
 from .evaluation import class_of, render_summary, run_loocv, train_from_config, write_report
-from .features import (
-    FEATURE_KINDS,
-    extract_features,
-    feature_filename,
-    load_feature_dir,
-    write_feature_file,
-)
+from .features import extract_features, feature_filename, load_feature_dir, write_feature_file
 from .network import Sample, save_checkpoint
 from .synth import builtin_scripts, export_dhg_tree, generate_dataset, parse_scripts
 
@@ -65,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract feature files from a dataset tree")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--features", default=",".join(FEATURE_KINDS),
-                   help="comma-separated subset of: global,finger,skeleton")
     _add_config_arg(p)
 
     p = sub.add_parser("train", help="train a classifier from extracted features")
@@ -97,13 +89,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_extract(args, parser) -> int:
-    kinds = tuple(k.strip() for k in args.features.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in FEATURE_KINDS:
-            parser.error(f"unknown feature kind: {kind!r} (choose from {FEATURE_KINDS})")
-    if not kinds or len(set(kinds)) < len(kinds):
-        parser.error(f"--features must name each kind once: {args.features!r}")
+def cmd_extract(args) -> int:
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +99,7 @@ def cmd_extract(args, parser) -> int:
         # A bad or unreadable sequence is reported and skipped; an OSError on
         # output aborts.
         try:
-            streams = extract_features(load_sequence(entry), config, kinds=kinds)
+            streams = extract_features(load_sequence(entry), config)
         except (GestrecError, OSError) as e:
             reason = getattr(e, "strerror", None) or str(e)
             if not reason.startswith(str(entry.path)):
@@ -121,18 +107,18 @@ def cmd_extract(args, parser) -> int:
             _report_error(args.command, reason)
             failed += 1
             continue
-        for kind in kinds:
+        for kind, stream in streams.items():
             name = feature_filename(entry.gesture, entry.finger, entry.subject,
                                     entry.trial, kind)
-            write_feature_file(args.out / name, kind, streams[kind],
+            write_feature_file(args.out / name, kind, stream,
                                entry.gesture, entry.finger, entry.subject, entry.trial)
-    print(f"extracted {len(kinds)} x {len(index) - failed} feature files to {args.out}")
+    print(f"extracted {len(config.branches)} x {len(index) - failed} feature files to {args.out}")
     return 1 if failed or skipped else 0
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    grouped = load_feature_dir(args.features, kinds=config.branches)
+    grouped = load_feature_dir(args.features, config.branches)
     samples = [
         Sample(streams, class_of(meta["gesture"], meta["finger"], args.classes))
         for meta, streams in grouped
@@ -167,13 +153,12 @@ def cmd_loocv(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
             return cmd_synth(args)
         if args.command == "extract":
-            return cmd_extract(args, parser)
+            return cmd_extract(args)
         if args.command == "train":
             return cmd_train(args)
         if args.command == "loocv":

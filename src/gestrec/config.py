@@ -11,6 +11,9 @@ from .errors import GestrecError
 from .geometry import DEFAULT_LAGS
 from .global_motion import MAX_DAD_BINS
 
+# the three per-frame streams of the paper's model, one network branch each
+FEATURE_KINDS = ("global", "finger", "skeleton")
+
 
 class ConfigError(GestrecError):
     pass
@@ -53,9 +56,8 @@ class PipelineConfig(Optimization):
     dad_bins: int = 5
     sigma_scale: float = 1.5
     lags: tuple[int, ...] = DEFAULT_LAGS
-    euler_convention: str = "xyz"
-    # network architecture
-    branches: tuple[str, ...] = ("global", "finger", "skeleton")
+    # network architecture; `branches` also picks the streams extracted
+    branches: tuple[str, ...] = FEATURE_KINDS
     lstm_hidden: int = 100
     fc_out: int = 128
     head: tuple[int, ...] = (256, 128)
@@ -71,10 +73,8 @@ class PipelineConfig(Optimization):
             raise ConfigError(f"sigma_scale must be finite and positive: {self.sigma_scale}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
-        if self.euler_convention not in ("xyz", "zyx"):
-            raise ConfigError(f"euler_convention must be xyz or zyx: {self.euler_convention}")
         for name in self.branches:
-            if name not in ("global", "finger", "skeleton"):
+            if name not in FEATURE_KINDS:
                 raise ConfigError(f"unknown branch: {name}")
         if not self.branches:
             raise ConfigError("at least one branch required")

@@ -57,9 +57,14 @@ class DatasetIndex:
     skipped: tuple[Path, ...] = ()
 
     def __post_init__(self):
-        keys = [e.key for e in self.entries]
-        if len(set(keys)) != len(keys):
-            raise DatasetError("duplicate (gesture, finger, subject, trial) keys")
+        # two files of one key would be written to the same feature files
+        first = {}
+        for entry in self.entries:
+            if entry.key in first:
+                paths = sorted(map(str, (first[entry.key], entry.path)))
+                raise DatasetError(f"duplicate (gesture, finger, subject, trial) key "
+                                   f"{entry.key}: {paths[0]} and {paths[1]}")
+            first[entry.key] = entry.path
 
     def __len__(self):
         return len(self.entries)

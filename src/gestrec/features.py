@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .config import PipelineConfig
+from .config import FEATURE_KINDS, PipelineConfig
 from .errors import GestrecError
 from .finger_motion import finger_features
 from .global_motion import dad_config_for_sequence, global_features
@@ -19,7 +19,6 @@ from .skeleton import (
 )
 
 FEATURE_MAGIC = "GESTREC-FEAT 1"
-FEATURE_KINDS = ("global", "finger", "skeleton")
 _HEADER_COUNTS = ("dims", "frames", "gesture", "finger", "subject", "trial")
 
 
@@ -27,10 +26,11 @@ class FeatureError(GestrecError):
     pass
 
 
-def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineConfig(),
-                     kinds: tuple[str, ...] = FEATURE_KINDS) -> dict[str, np.ndarray]:
-    """All requested per-frame feature streams for one validated sequence."""
+def extract_features(seq: SkeletonSequence,
+                     config: PipelineConfig = PipelineConfig()) -> dict[str, np.ndarray]:
+    """The per-frame feature streams of `config.branches` for one validated sequence."""
     validate_sequence(seq)
+    kinds = config.branches
     streams = {}
     if "global" in kinds:
         thresholds = dad_config_for_sequence(seq, config.dad_bins, config.sigma_scale)
@@ -38,8 +38,7 @@ def extract_features(seq: SkeletonSequence, config: PipelineConfig = PipelineCon
         # one rigid pose per sequence serves both motion streams
         pose = hand_pose(seq.positions)
     if "global" in kinds:
-        streams["global"] = global_features(pose, thresholds, config.lags,
-                                            config.euler_convention)
+        streams["global"] = global_features(pose, thresholds, config.lags)
     if "finger" in kinds:
         streams["finger"] = finger_features(seq.positions, pose, config.lags)
     if "skeleton" in kinds:

@@ -77,12 +77,11 @@ def kabsch_align(points: np.ndarray, reference: np.ndarray):
     return r, t
 
 
-def euler_to_matrix(rx, ry, rz, convention: str = "xyz") -> np.ndarray:
-    """Rotation matrix for intrinsic Euler angles.
+def euler_to_matrix(rx, ry, rz) -> np.ndarray:
+    """Rotation matrix R = Rx @ Ry @ Rz for intrinsic x-y'-z'' Euler angles.
 
-    "xyz" composes R = Rx @ Ry @ Rz (intrinsic x-y'-z''); "zyx" composes
-    R = Rz @ Ry @ Rx. Scalar angles give one matrix (3, 3); angle arrays of
-    a shape (...) give a stack (..., 3, 3).
+    Scalar angles give one matrix (3, 3); angle arrays of a shape (...) give
+    a stack (..., 3, 3).
     """
     # each elementary rotation turns the (i, j) plane and fixes the third axis
     mx, my, mz = (np.zeros(np.shape(a) + (3, 3)) for a in (rx, ry, rz))
@@ -91,20 +90,16 @@ def euler_to_matrix(rx, ry, rz, convention: str = "xyz") -> np.ndarray:
         m[..., 3 - i - j, 3 - i - j] = 1.0
         m[..., i, i] = m[..., j, j] = c
         m[..., i, j], m[..., j, i] = -s, s
-    if convention == "xyz":
-        return mx @ my @ mz
-    if convention == "zyx":
-        return mz @ my @ mx
-    raise ValueError(f"unknown Euler convention: {convention!r}")
+    return mx @ my @ mz
 
 
-def rotation_to_euler(r: np.ndarray, convention: str = "xyz"):
-    """Intrinsic Euler angles (r_x, r_y, r_z) of a proper rotation matrix.
+def rotation_to_euler(r: np.ndarray):
+    """Intrinsic x-y'-z'' Euler angles (r_x, r_y, r_z) of a proper rotation
+    matrix, the inverse of `euler_to_matrix`.
 
     `r` is one matrix (3, 3), giving three scalars, or a stack (T, 3, 3),
-    giving three (T,) arrays. Near gimbal lock (|middle-axis sine| >
-    1 - 1e-9) the last angle of the composition is fixed to 0 and the
-    remaining angle absorbs the rest. atan2's -pi is folded onto +pi.
+    giving three (T,) arrays. Near gimbal lock (|sin r_y| > 1 - 1e-9) r_z is
+    fixed to 0 and r_x absorbs the rest. atan2's -pi is folded onto +pi.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape[-2:] != (3, 3) or r.ndim not in (2, 3):
@@ -112,20 +107,11 @@ def rotation_to_euler(r: np.ndarray, convention: str = "xyz"):
     if np.max(np.abs(r.mT @ r - np.eye(3))) > 1e-6 or np.any(np.linalg.det(r) < 0):
         raise NotARotation("matrix is not a proper rotation")
 
-    if convention == "xyz":
-        sy = np.clip(r[..., 0, 2], -1.0, 1.0)
-        lock = np.abs(sy) > 1.0 - 1e-9
-        rx = np.where(lock, np.arctan2(r[..., 2, 1], r[..., 1, 1]),
-                      np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
-        rz = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
-    elif convention == "zyx":
-        sy = np.clip(-r[..., 2, 0], -1.0, 1.0)
-        lock = np.abs(sy) > 1.0 - 1e-9
-        rx = np.where(lock, 0.0, np.arctan2(r[..., 2, 1], r[..., 2, 2]))
-        rz = np.where(lock, np.arctan2(-r[..., 0, 1], r[..., 1, 1]),
-                      np.arctan2(r[..., 1, 0], r[..., 0, 0]))
-    else:
-        raise ValueError(f"unknown Euler convention: {convention!r}")
+    sy = np.clip(r[..., 0, 2], -1.0, 1.0)
+    lock = np.abs(sy) > 1.0 - 1e-9
+    rx = np.where(lock, np.arctan2(r[..., 2, 1], r[..., 1, 1]),
+                  np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
+    rz = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
     angles = np.stack([rx, np.arcsin(sy), rz])
     angles[angles == -np.pi] = np.pi
     return tuple(angles)

@@ -61,8 +61,7 @@ def discretize_rho(rho, thresholds: np.ndarray):
 
 
 def global_features(pose: tuple[np.ndarray, np.ndarray], thresholds: np.ndarray,
-                    lags: tuple[int, ...] = DEFAULT_LAGS,
-                    convention: str = "xyz") -> np.ndarray:
+                    lags: tuple[int, ...] = DEFAULT_LAGS) -> np.ndarray:
     """Per-frame global motion features, shape (T, 6 + 6 + 6*len(lags)).
 
     `pose` is a sequence's rigid pose (R (T, 3, 3), t (T, 3)) as `hand_pose`
@@ -74,5 +73,5 @@ def global_features(pose: tuple[np.ndarray, np.ndarray], thresholds: np.ndarray,
     rot, trans = pose
     rho, theta, azimuth = cartesian_to_spherical(trans)
     phi = np.stack([discretize_rho(rho, thresholds), theta, azimuth,
-                    *rotation_to_euler(rot, convention)], axis=1)
+                    *rotation_to_euler(rot)], axis=1)
     return with_differences(phi, lags, first_angle=1)

@@ -205,8 +205,10 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
                 raise InvalidConfig(f"{where}: bad section header: {raw!r}")
             name, fields, curves = parts[1], {}, {}
             continue
-        if name is None or "=" not in line:
+        if name is None:
             raise InvalidConfig(f"{where}: unexpected line outside a script section: {raw!r}")
+        if "=" not in line:
+            raise InvalidConfig(f"{where}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
         try:
             if key in ("gesture", "finger"):

@@ -166,15 +166,56 @@ def test_misnamed_directories_are_reported_and_the_rest_written(synth_root, feat
     assert not report.exists()
 
 
+def test_extract_writes_the_streams_of_branches_and_train_reads_them(feature_dir, synth_root,
+                                                                     tmp_path):
+    config = tmp_path / "two.cfg"
+    config.write_text(TINY_CONFIG + "branches = global, skeleton\n")
+    out = tmp_path / "feats"
+    assert run(["extract", "--dataset", synth_root, "--out", out, "--config", config]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert len(written) == 2 * 36
+    assert written == sorted(p.name for p in feature_dir.iterdir()
+                             if not p.name.endswith("_finger.feat"))
+    for name in written:
+        assert (out / name).read_bytes() == (feature_dir / name).read_bytes()
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--features", out, "--config", config, "--out", ckpt]) == 0
+    assert load_checkpoint(ckpt).branches == ("global", "skeleton")
+
+
 @pytest.mark.parametrize("kinds", ["global,warp", ",", "", "global,global",
                                    "finger, global, finger"],
                          ids=["unknown", "comma", "empty", "repeated", "repeated-spaced"])
-def test_extract_unknown_kind_is_usage_error(kinds, synth_root, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",
-             "--features", kinds])
-    assert err.value.code == 2
+def test_extract_refuses_a_bad_branches_setting(kinds, synth_root, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"branches = {kinds}\n")
+    assert run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",
+                "--config", config]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"gestrec extract: error: {config}: "), line
     assert not (tmp_path / "x").exists()
+
+
+def test_a_config_that_sets_euler_convention_is_refused(synth_root, tmp_path, capsys):
+    config = tmp_path / "euler.cfg"
+    config.write_text("euler_convention = xyz\n")
+    assert run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",
+                "--config", config]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"gestrec extract: error: {config}:1: unknown key 'euler_convention'"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_tree_with_two_directories_of_one_key_is_refused(synth_root, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_root, data)
+    shutil.copytree(data / "gesture_1", data / "gesture_01")
+    assert run(["extract", "--dataset", data, "--out", tmp_path / "feats"]) == 1
+    tail = "finger_1/subject_1/essai_1/skeletons_world.txt"
+    assert capsys.readouterr().err.splitlines() == [
+        "gestrec extract: error: duplicate (gesture, finger, subject, trial) key (1, 1, 1, 1): "
+        f"{data}/gesture_01/{tail} and {data}/gesture_1/{tail}"]
+    assert not (tmp_path / "feats").exists()
 
 
 def test_extract_missing_dataset_fails(tmp_path):

@@ -1,8 +1,12 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from gestrec.config import ConfigError, PipelineConfig, load_config
+from gestrec.config import FEATURE_KINDS, ConfigError, PipelineConfig, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_match_reference_training_setup():
@@ -13,6 +17,7 @@ def test_defaults_match_reference_training_setup():
     assert config.dad_bins == 5 and config.sigma_scale == 1.5
     assert config.lags == (1, 5, 10)
     assert config.fine_gestures == (1, 3, 4, 5, 6)
+    assert config.branches == FEATURE_KINDS == ("global", "finger", "skeleton")
 
 
 def test_load_config_none_returns_defaults():
@@ -27,24 +32,21 @@ def test_load_config_overrides(tmp_path):
         "dropout = 0.5   # inline comment\n"
         "lags = 1, 2, 3, 4\n"
         "branches = global, skeleton\n"
-        "bidirectional = false\n"
-        "euler_convention = zyx\n")
+        "bidirectional = false\n")
     config = load_config(path)
     assert config.lstm_hidden == 17
     assert config.dropout == 0.5
     assert config.lags == (1, 2, 3, 4)
     assert config.branches == ("global", "skeleton")
     assert config.bidirectional is False
-    assert config.euler_convention == "zyx"
     assert config.epochs == 100    # untouched default
 
 
 def test_load_config_reads_every_field_in_its_own_format(tmp_path):
-    values = dict(dad_bins=7, sigma_scale=2.25, lags=(2, 4, 9), euler_convention="zyx",
-                  branches=("skeleton", "global"), lstm_hidden=17, fc_out=9, head=(12, 6, 3),
-                  dropout=0.125, bidirectional=False, learning_rate=0.02, beta1=0.8,
-                  beta2=0.99, epsilon=1e-7, batch_size=5, epochs=3, clip_norm=2.5,
-                  stop_accuracy=0.75, fine_gestures=(2, 7))
+    values = dict(dad_bins=7, sigma_scale=2.25, lags=(2, 4, 9), branches=("skeleton", "global"),
+                  lstm_hidden=17, fc_out=9, head=(12, 6, 3), dropout=0.125, bidirectional=False,
+                  learning_rate=0.02, beta1=0.8, beta2=0.99, epsilon=1e-7, batch_size=5,
+                  epochs=3, clip_norm=2.5, stop_accuracy=0.75, fine_gestures=(2, 7))
     assert values.keys() == {f.name for f in fields(PipelineConfig)}
     assert all(value != getattr(PipelineConfig(), name) for name, value in values.items())
     text = {"lags": "2, 4 9", "branches": "skeleton , global", "head": "12 6 3",
@@ -79,8 +81,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(dropout=1.0)
     with pytest.raises(ConfigError):
-        PipelineConfig(euler_convention="xzy")
-    with pytest.raises(ConfigError):
         PipelineConfig(branches=("global", "sonar"))
     with pytest.raises(ConfigError):
         PipelineConfig(branches=())
@@ -97,3 +97,11 @@ def test_load_config_rejects_bad_dad_settings(line, tmp_path):
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=line.split()[0]):
         load_config(path)
+
+
+def test_readme_config_table_lists_every_key_once():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| key | default | meaning |"):].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))

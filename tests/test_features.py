@@ -39,7 +39,7 @@ def test_extract_dims_follow_lag_config(tiny_sequences):
 
 
 def test_extract_subset_of_kinds(tiny_sequences):
-    streams = extract_features(tiny_sequences[0], kinds=("finger",))
+    streams = extract_features(tiny_sequences[0], PipelineConfig(branches=("finger",)))
     assert set(streams) == {"finger"}
 
 
@@ -64,21 +64,19 @@ def kabsch_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("convention", ["xyz", "zyx"])
-def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_calls, convention):
-    config = PipelineConfig(euler_convention=convention)
+def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_calls):
+    config = PipelineConfig()
     full = tiny_sequences[4]
     subsets = [k for n in range(1, 4) for k in itertools.combinations(FEATURE_KINDS, n)]
     for frames in (1, 2, 11, full.num_frames):
         seq = SkeletonSequence(full.positions[:frames])
         dad = dad_config_for_sequence(seq, bins=config.dad_bins, sigma_scale=config.sigma_scale)
         pose = hand_model.hand_pose(seq.positions)
-        expected = {"global": global_features(pose, dad, lags=config.lags,
-                                              convention=convention),
+        expected = {"global": global_features(pose, dad, lags=config.lags),
                     "finger": finger_features(seq.positions, pose, lags=config.lags)}
         for kinds in subsets:
             kabsch_calls.clear()
-            streams = extract_features(seq, config, kinds=kinds)
+            streams = extract_features(seq, PipelineConfig(branches=kinds))
             assert set(streams) == set(kinds)
             assert len(kabsch_calls) == (0 if kinds == ("skeleton",) else 1), kinds
             for kind in set(kinds) & set(expected):
@@ -92,7 +90,7 @@ def test_degenerate_palm_is_reported_before_a_flat_frame(tiny_sequences):
     with pytest.raises(DegeneratePalm):
         extract_features(SkeletonSequence(positions))
     with pytest.raises(DegenerateInput):    # the pose solve alone sees the flat frames
-        extract_features(SkeletonSequence(positions), kinds=("finger",))
+        extract_features(SkeletonSequence(positions), PipelineConfig(branches=("finger",)))
 
 
 def test_feature_file_roundtrip(tmp_path):

@@ -81,26 +81,22 @@ def test_euler_quarter_turn_about_z():
     assert rz == pytest.approx(np.pi / 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("convention,scipy_seq", [("xyz", "XYZ"), ("zyx", "ZYX")])
-def test_euler_to_matrix_matches_scipy(convention, scipy_seq):
-    # ours always takes (rx, ry, rz); scipy wants angles in application order
+def test_euler_to_matrix_matches_scipy():
     rng = np.random.default_rng(12)
     for _ in range(50):
         angles = rng.uniform(-np.pi, np.pi, 3)
-        ours = euler_to_matrix(*angles, convention=convention)
-        scipy_angles = angles if scipy_seq == "XYZ" else angles[::-1]
-        oracle = Rotation.from_euler(scipy_seq, scipy_angles).as_matrix()
+        ours = euler_to_matrix(*angles)
+        oracle = Rotation.from_euler("XYZ", angles).as_matrix()
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("convention", ["xyz", "zyx"])
-def test_euler_roundtrip_away_from_gimbal(convention):
+def test_euler_roundtrip_away_from_gimbal():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         angles = rng.uniform(-np.pi + 1e-6, np.pi, 3)
         angles[1] = rng.uniform(-(np.pi / 2 - 0.1), np.pi / 2 - 0.1)
-        r = euler_to_matrix(*angles, convention=convention)
-        recovered = rotation_to_euler(r, convention=convention)
+        r = euler_to_matrix(*angles)
+        recovered = rotation_to_euler(r)
         np.testing.assert_allclose(recovered, angles, atol=1e-9)
 
 
@@ -189,22 +185,21 @@ def test_kabsch_stack_names_degenerate_last_frame():
         kabsch_align(np.stack([ref, ref, line]), ref)
 
 
-@pytest.mark.parametrize("convention", ["xyz", "zyx"])
-def test_euler_stack_matches_per_frame_calls(convention):
+def test_euler_stack_matches_per_frame_calls():
     rng = np.random.default_rng(16)
     half_turn_x = np.diag([1.0, -1.0, -1.0])
-    half_turn_x[2, 1] = -0.0    # atan2 gives r_x = -pi here in both conventions
+    half_turn_x[2, 1] = -0.0    # atan2 gives r_x = -pi here
     mats = np.stack([random_rotation(rng) for _ in range(20)]
-                    + [euler_to_matrix(0.3, np.pi / 2, 0.0, convention),    # gimbal lock
-                       euler_to_matrix(0.0, -np.pi / 2, -0.4, convention),
+                    + [euler_to_matrix(0.3, np.pi / 2, 0.0),    # gimbal lock
+                       euler_to_matrix(0.0, -np.pi / 2, -0.4),
                        half_turn_x])
-    stacked = np.stack(rotation_to_euler(mats, convention), axis=1)
+    stacked = np.stack(rotation_to_euler(mats), axis=1)
     assert stacked.shape == (23, 3)
     for i, r in enumerate(mats):
-        single = rotation_to_euler(r, convention)
+        single = rotation_to_euler(r)
         assert all(np.ndim(angle) == 0 for angle in single)
         np.testing.assert_allclose(stacked[i], single, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(stacked[20:22, 2 if convention == "xyz" else 0], 0.0)
+    np.testing.assert_array_equal(stacked[20:22, 2], 0.0)
     assert stacked[22, 0] == np.pi
 
 

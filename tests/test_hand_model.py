@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from gestrec.geometry import euler_to_matrix, rotate_about_axis
 from gestrec.hand_model import REST_POSITIONS, forward_kinematics
@@ -25,13 +24,12 @@ def test_fk_stack_zero_angles_at_identity_is_rest_pose():
         np.testing.assert_array_equal(frame, REST_POSITIONS)
 
 
-@pytest.mark.parametrize("convention", ["xyz", "zyx"])
-def test_euler_to_matrix_stack_matches_scalar_calls(convention):
+def test_euler_to_matrix_stack_matches_scalar_calls():
     angles = np.random.default_rng(91).uniform(-np.pi, np.pi, (30, 3))
-    stacked = euler_to_matrix(*angles.T, convention=convention)
+    stacked = euler_to_matrix(*angles.T)
     assert stacked.shape == (30, 3, 3)
     for row, r in zip(angles, stacked):
-        np.testing.assert_array_equal(r, euler_to_matrix(*row, convention=convention))
+        np.testing.assert_array_equal(r, euler_to_matrix(*row))
 
 
 def test_rotate_about_axis_with_angle_array():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,4 +180,14 @@ def test_parse_scripts_errors(tmp_path):
         parse_scripts(path)
     path.write_text("gesture = 1\n")
     with pytest.raises(InvalidConfig):
+        parse_scripts(path)
+
+
+def test_parse_scripts_tells_a_line_without_equals_from_one_outside_a_section(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("[script a]\ngesture = 1\nnonsense\n")
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}:3: expected 'key = value'$"):
+        parse_scripts(path)
+    path.write_text("nonsense\n[script a]\ngesture = 1\n")
+    with pytest.raises(InvalidConfig, match=":1: unexpected line outside a script section"):
         parse_scripts(path)
