@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +28,19 @@ def _report_skipped(command: str, index) -> bool:
         _report_error(command, f"{path}: not in a numbered "
                                "gesture_<g>/finger_<f>/subject_<s>/essai_<t> directory")
     return bool(index.skipped)
+
+
+def _check_output(path: Path, directory: bool = False) -> None:
+    """Refuse, before any work, a file path that is a directory or has no directory
+    to go in, or a directory path (made with its parents) that is, or is under, a file."""
+    if directory:
+        found = next(p for p in (path, *path.parents) if p.exists())
+        code = 0 if found.is_dir() else errno.EEXIST if found == path else errno.ENOTDIR
+    else:
+        found = path if path.is_dir() else path.parent
+        code = errno.EISDIR if found == path else 0 if found.is_dir() else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), str(found))
 
 
 def non_negative_int(text: str) -> int:
@@ -117,6 +132,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log or Path(str(args.out) + ".log.csv")
+    _check_output(args.out)
+    _check_output(log_path)
     config = load_config(args.config)
     grouped = load_feature_dir(args.features, config.branches)
     samples = [
@@ -126,7 +144,6 @@ def cmd_train(args) -> int:
     model, log = train_from_config(config, samples, args.classes, args.seed,
                                    record_accuracy=True)
     save_checkpoint(model, args.out)
-    log_path = args.log or Path(str(args.out) + ".log.csv")
     rows = ["epoch,loss,train_accuracy,grad_norm_mean,grad_norm_max,clipped_fraction,seconds"]
     rows += [f"{e.epoch},{e.loss:.6f},{e.accuracy:.6f},{e.grad_norm_mean:.6f},"
              f"{e.grad_norm_max:.6f},{e.clipped_fraction:.6f},{e.seconds:.3f}" for e in log]
@@ -138,6 +155,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_loocv(args) -> int:
+    _check_output(args.out, directory=True)
     config = load_config(args.config)
     index = scan_dataset(args.dataset)
     if _report_skipped(args.command, index):

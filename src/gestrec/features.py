@@ -87,7 +87,8 @@ def read_feature_file(path: str | Path):
 
 
 def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KINDS):
-    """Group feature files by sequence.
+    """Group by sequence the files that `feature_filename` names for `kinds`,
+    reading no other file; a header whose kind is not its name's is refused.
 
     Returns a list of (meta, streams) sorted by (gesture, finger, subject,
     trial); every requested kind must be present for every sequence, with
@@ -95,12 +96,15 @@ def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KIN
     """
     directory = Path(directory)
     groups: dict[tuple, dict] = {}
-    for path in sorted(directory.glob("*.feat")):
-        header, array = read_feature_file(path)
-        key = (header["gesture"], header["finger"], header["subject"], header["trial"])
-        groups.setdefault(key, {})[header["kind"]] = array
+    for kind in kinds:
+        for path in sorted(directory.glob(f"*_{kind}.feat")):
+            header, array = read_feature_file(path)
+            if header["kind"] != kind:
+                raise FeatureError(f"{path}: header kind {header['kind']!r}, name kind {kind!r}")
+            key = (header["gesture"], header["finger"], header["subject"], header["trial"])
+            groups.setdefault(key, {})[kind] = array
     if not groups:
-        raise FeatureError(f"no .feat files under {directory}")
+        raise FeatureError(f"no {'/'.join(kinds)} .feat files under {directory}")
     out = []
     dims: dict[str, int] = {}
     for key in sorted(groups):
@@ -117,5 +121,5 @@ def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KIN
         if len(set(lengths.values())) != 1:
             raise FeatureError(f"sequence {key}: inconsistent frame counts {lengths}")
         meta = dict(zip(("gesture", "finger", "subject", "trial"), key))
-        out.append((meta, {k: streams[k] for k in kinds}))
+        out.append((meta, streams))
     return out

@@ -242,10 +242,10 @@ def _flip_reverse(a, pack):
 
 def _layer2_input(h1, pack, keep):
     """Layer 2's packed input (N, dirs * h): layer 1's hidden states `h1`
-    in forward time order, times the padded dropout mask `keep` if any."""
+    in forward time order, times the packed dropout mask `keep` if any."""
     x = _flip_reverse(h1, pack).reshape(len(h1), -1)
     if keep is not None:
-        x *= _packed(keep, pack)
+        x *= keep
     return x
 
 
@@ -365,63 +365,49 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad, buffers=No
     dz (N, dirs, 4h), the gradient at the gate pre-activations, is
         dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
         dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
-    One time loop, last step first, carries dh and dc back for every
-    direction. Each step block's dz is formed from its gates, cell states
-    and tanh(c) and the cell states of the step before, while they are in
-    cache, and is written over the gates. dW, dU and db are then one GEMM or sum
-    each over the valid rows.
+    with dc = dh * o(1 - tanh^2(c)) plus the carry. Each factor that needs no
+    carry is formed for the whole layer first: i's, g's and o's over the gates,
+    f's over the cell states, dc/dh over tanh(c). One time loop, last step
+    first, then carries dh and dc back and writes dz over the gates. dW, dU
+    and db are then one GEMM or sum each over the valid rows.
     """
     prefix, x, gates = layer
-    cell, tanh_cell, hidden = _lstm_states(model, gates, pack, buffers)
+    d_f, dc_dh, hidden = _lstm_states(model, gates, pack, buffers)  # the cell states and tanh(c)
     h = model.hidden
+    first = pack.steps[0][1]  # the rows of step 0 start from the zero state
+    gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    d_f[first:] = (1.0 - gf[first:]) * gf[first:] * d_f[pack.prev]
+    d_f[:first] = 0.0
+    # each pair reads both arrays it overwrites, so it is formed before either is written
+    gi[...], gg[...] = (1.0 - gi) * gi * gg, (1.0 - gg * gg) * gi
+    go[...], dc_dh[...] = (1.0 - go) * go * dc_dh, (1.0 - dc_dh * dc_dh) * go
+
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
-    first = pack.steps[0][1]  # the rows of step 0 start from the zero state
-    dh_carry = np.empty((len(prefixes), first, h), model.dtype)
-    dc_carry = cell[:0]  # nothing flows into the last step
-    for t in range(len(pack.steps) - 1, -1, -1):
-        start, rows = pack.steps[t]
+    dh_carry = np.empty((len(us), first, h), model.dtype)
+    dc_carry = d_f[:0]  # nothing flows into the last step
+    for start, rows in reversed(pack.steps):
         block = slice(start, start + rows)
-        g = gates[block]
-        gi, gf, gg, go = (g[..., k * h:(k + 1) * h] for k in range(4))
         dh = d_hidden[block]
         dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
-        tanh_c = tanh_cell[block]
-        # dc/dh through h = o * tanh(c)
-        dc = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, dc, out=dc)
-        dc *= go
-        dc *= dh
+        dc = np.multiply(dh, dc_dh[block])
         dc[:len(dc_carry)] += dc_carry
-        local = np.subtract(1.0, g)
-        local *= g  # i(1 - i), f(1 - f), o(1 - o); the g block is replaced below
-        dz_i, dz_f, dz_g, dz_o = (local[..., k * h:(k + 1) * h] for k in range(4))
-        dz_i *= gg
-        if t:  # each step's rows are the first rows of the step before
-            prev_start = pack.steps[t - 1][0]
-            dz_f *= cell[prev_start:prev_start + rows]
-        else:
-            dz_f[...] = 0.0
-        np.multiply(gg, gg, out=dz_g)
-        np.subtract(1.0, dz_g, out=dz_g)
-        dz_g *= gi
-        dz_o *= tanh_c
-        dc_carry = dc * gf  # the last read of the gates: dz goes over them
-        np.multiply(local.reshape(rows, -1, 4, h)[:, :, :3], dc[:, :, None],
-                    out=g.reshape(rows, -1, 4, h)[:, :, :3])
-        np.multiply(dz_o, dh, out=go)
+        dc_carry = dc * gf[block]  # the last read of f: dz goes over it
+        np.multiply(gi[block], dc, out=gi[block])
+        np.multiply(d_f[block], dc, out=gf[block])
+        np.multiply(gg[block], dc, out=gg[block])
+        np.multiply(go[block], dh, out=go[block])
         for k, u in enumerate(us):
-            np.matmul(g[:, k], u, out=dh_carry[k, :rows])
+            np.matmul(gates[block, k], u, out=dh_carry[k, :rows])
 
-    dz = gates
     d_x = None
-    for k, p in enumerate(prefixes):
+    for k, p in enumerate(prefixes):  # the gates now hold dz
         reverse = p.endswith(".bwd")
-        grads[f"{p}.W"] = dz[:, k].T @ (x[pack.flip] if reverse else x)
-        grads[f"{p}.U"] = dz[first:, k].T @ hidden[pack.prev, k]
-        grads[f"{p}.b"] = dz[:, k].sum(axis=0)
+        grads[f"{p}.W"] = gates[:, k].T @ (x[pack.flip] if reverse else x)
+        grads[f"{p}.U"] = gates[first:, k].T @ hidden[pack.prev, k]
+        grads[f"{p}.b"] = gates[:, k].sum(axis=0)
         if input_grad:
-            part = dz[:, k] @ model.params[f"{p}.W"]
+            part = gates[:, k] @ model.params[f"{p}.W"]
             if reverse:
                 part = part[pack.flip]
             d_x = part if d_x is None else d_x + part
@@ -454,30 +440,25 @@ def _dense_backward(model, layers, d_out, undrop, grads):
 
 
 def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarray,
-            train_mode: bool = False, rng: np.random.Generator | None = None,
-            dropout_masks: dict[str, np.ndarray] | None = None, *,
+            train_mode: bool = False, rng: np.random.Generator | None = None, *,
             buffers: dict[str, np.ndarray] | None = None):
     """Class probabilities for a padded batch; returns (probs, cache).
 
-    In train mode inverted dropout follows every LSTM and FC layer. Unless
-    explicit `dropout_masks` are supplied, each mask is drawn from `rng` when
-    it is first used: per branch `l1`, `summary`, `fc`, then `head.0`, ...,
-    `head.out`. The cache records the masks so gradients and finite
-    differences see the same network. Only a train-mode cache holds the
-    layer activations `backward` needs: each LSTM layer's gates, and layer
-    1's input. `backward` rebuilds the cell and hidden states and layer 2's
-    input from them. An inference cache keeps none, so the gates and cell
-    states of each `_bilstm_forward` call are freed when it returns.
+    In train mode inverted dropout follows every LSTM and FC layer, each
+    mask drawn from `rng` when first used: per branch `l1`, `summary`,
+    `fc`, then `head.0`, ..., `head.out`, so a copy of the generator
+    replays them. The cache records them for `backward`, `l1`'s as the
+    packed (N, dirs * h) rows of its padded (B, T, dirs * h) draw. Only a
+    train-mode cache holds layer activations: each LSTM layer's gates and
+    layer 1's input, from which `backward` rebuilds the cell and hidden
+    states and layer 2's input. An inference cache keeps none.
 
     The branches run in groups, one `_bilstm_forward` call per layer and
-    group. An inference batch of fewer than `GROUPED_BELOW` samples runs
-    every branch in one group: a step then multiplies at most 3 rows per
-    direction, so the time loop's cost is per-call overhead, and one loop
-    instead of three cuts it. A larger inference batch, and every train-mode
-    forward, runs one branch per group: at a large batch a grouped loop is
-    slower and holds every branch's gates at once, and a train step keeps
-    the dropout draw order, buffers and cache of one branch at a time. Each
-    layer's bytes are the same either way.
+    group: every branch in one group for an inference batch below
+    `GROUPED_BELOW`, whose time loop costs per-call overhead (at most 3
+    rows per product), and one branch per group otherwise, which is faster
+    at large batches and keeps a train step's draw order, buffers and cache
+    per branch. Each layer's bytes are the same either way.
 
     `buffers`, a dict `train` makes once per call, holds each LSTM layer's
     gates and one cell, hidden and tanh(c) scratch that all layers share
@@ -490,22 +471,20 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     bsz, t_len = mask.shape
     pack = _pack(mask)
     use_dropout = train_mode and model.dropout > 0.0
-    if use_dropout and dropout_masks is None:
-        if rng is None:
-            raise NetworkError("train-mode forward needs an rng (or explicit dropout masks)")
-        dropout_masks = {}
+    if use_dropout and rng is None:
+        raise NetworkError("train-mode forward needs an rng")
+    masks = {} if use_dropout else None
 
     def drop_mask(key, shape):
-        if key not in dropout_masks:
-            keep = (rng.random(shape) >= model.dropout).astype(model.dtype)
-            dropout_masks[key] = keep / (1.0 - model.dropout)
-        return dropout_masks[key]
+        keep = (rng.random(shape) >= model.dropout).astype(model.dtype) / (1.0 - model.dropout)
+        masks[key] = _packed(keep, pack) if len(shape) == 3 else keep  # l1's, drawn padded
+        return masks[key]
 
     def dropped(x, key):
         return x * drop_mask(key, x.shape) if use_dropout else x
 
     layer_buffers = buffers if train_mode else None
-    cache = {"mask": mask, "pack": pack, "dropout": dropout_masks if use_dropout else None,
+    cache = {"mask": mask, "pack": pack, "dropout": masks,
              "buffers": layer_buffers, "branches": {}}
     dirs = len(model.directions)
     grouped = not train_mode and bsz < GROUPED_BELOW
@@ -582,9 +561,7 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
     masks = cache["dropout"]
 
     def undrop(d, key):
-        if masks is None:
-            return d
-        return d * masks[key]
+        return d if masks is None else d * masks[key]
 
     picked = probs[rows, labels]
     dldp = np.zeros_like(probs)
@@ -608,7 +585,7 @@ def backward(model: NetworkModel, cache, labels: np.ndarray) -> dict[str, np.nda
                                True, buffers)
         del x, gates2, d_h2  # layer 2's activations go before layer 1's BPTT starts
         if keep is not None:
-            d_x *= _packed(keep, pack)
+            d_x *= keep
         d_h1 = _flip_reverse(d_x.reshape(len(d_x), -1, model.hidden), pack)
         del d_x
         _bilstm_backward(model, l1, pack, d_h1, grads, False, buffers)

@@ -1,5 +1,7 @@
 """Central finite-difference gradient checking used by unit and acceptance tests."""
 
+import copy
+
 import numpy as np
 
 from gestrec.network import backward, cross_entropy, forward, init_model
@@ -37,12 +39,12 @@ def random_batch(model, rng, batch=2, t_len=5):
 def max_relative_error(model, streams, mask, labels, rng, h=1e-5):
     """Worst guarded relative error |fd - grad| / max(|fd| + |grad|, 1e-6)
     over every parameter element, with dropout masks held fixed."""
+    replay = copy.deepcopy(rng)  # each loss below draws the same masks from a fresh copy
     probs, cache = forward(model, streams, mask, train_mode=True, rng=rng)
     grads = backward(model, cache, labels)
-    masks = cache["dropout"]
 
     def loss_now():
-        p, _ = forward(model, streams, mask, train_mode=True, dropout_masks=masks)
+        p, _ = forward(model, streams, mask, train_mode=True, rng=copy.deepcopy(replay))
         return cross_entropy(p, labels)
 
     worst = 0.0

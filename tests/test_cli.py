@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import gestrec
+from gestrec import cli
 from gestrec.cli import main
 from gestrec.dataset import load_sequence, scan_dataset
 from gestrec.errors import GestrecError
@@ -341,6 +342,48 @@ def test_a_huge_dad_bins_is_refused_before_any_work(command, synth_root, tmp_pat
     assert list(tmp_path.iterdir()) == [config]
     assert capsys.readouterr().err.splitlines() == [
         f"gestrec {command}: error: {config}: dad_bins must be in [1, 1000]: {10 ** 30}"]
+
+
+UNWRITABLE_OUTPUTS = {
+    # case: (command, option, its path and the path the error names below
+    # tmp_path, the error's errno text)
+    "loocv-out-is-a-file":
+        ("loocv", "--out", "taken.txt", "taken.txt", "[Errno 17] File exists"),
+    "loocv-out-under-a-file":
+        ("loocv", "--out", "taken.txt/report", "taken.txt", "[Errno 20] Not a directory"),
+    "train-out-is-a-directory":
+        ("train", "--out", "taken", "taken", "[Errno 21] Is a directory"),
+    "train-out-in-a-missing-directory":
+        ("train", "--out", "missing/m.ckpt", "missing", "[Errno 2] No such file or directory"),
+    "train-log-in-a-missing-directory":
+        ("train", "--log", "missing/x.csv", "missing", "[Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTPUTS))
+def test_an_unwritable_output_is_refused_before_any_work(case, synth_root, feature_dir,
+                                                          config_file, tmp_path, capsys,
+                                                          monkeypatch):
+    command, option, where, named, reason = UNWRITABLE_OUTPUTS[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} began to train before it checked its outputs")
+
+    monkeypatch.setattr(cli, "train_from_config", no_work)
+    monkeypatch.setattr(cli, "run_loocv", no_work)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken.txt").write_text("kept\n")
+    argv = {"train": ["train", "--features", feature_dir, "--out", tmp_path / "m.ckpt"],
+            "loocv": ["loocv", "--dataset", synth_root, "--out", tmp_path / "report"]}[command]
+    argv += ["--config", config_file, option, tmp_path / where]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"gestrec {command}: error: {reason}: '{tmp_path / named}'"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "taken.txt"]
+    assert list((tmp_path / "taken").iterdir()) == []
+    assert (tmp_path / "taken.txt").read_text() == "kept\n"
 
 
 def test_train_overfits_synthetic_and_logs(feature_dir, config_file, tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gestrec import hand_model
+from gestrec import features, hand_model
 from gestrec.config import PipelineConfig
 from gestrec.features import (
     FEATURE_KINDS,
@@ -173,6 +173,36 @@ def test_load_feature_dir_missing_kind(tmp_path):
                        "global", np.zeros((4, 30)), 1, 1, 1, 1)
     with pytest.raises(FeatureError, match="missing feature kind"):
         load_feature_dir(tmp_path)
+
+
+def test_load_feature_dir_reads_only_the_files_of_its_kinds(tmp_path, monkeypatch):
+    rng = np.random.default_rng(53)
+    for subject in (1, 2):
+        for kind, dim in (("global", 30), ("skeleton", 66)):
+            write_feature_file(tmp_path / feature_filename(1, 1, subject, 1, kind), kind,
+                               rng.normal(size=(5, dim)), 1, 1, subject, 1)
+        (tmp_path / feature_filename(1, 1, subject, 1, "finger")).write_bytes(b"junk")
+    read = []
+
+    def recording_read(path):
+        read.append(Path(path).name)
+        return read_feature_file(path)
+
+    monkeypatch.setattr(features, "read_feature_file", recording_read)
+    grouped = load_feature_dir(tmp_path, ("global",))
+    assert [(m["subject"], list(streams)) for m, streams in grouped] == [(1, ["global"]),
+                                                                         (2, ["global"])]
+    assert read == [feature_filename(1, 1, s, 1, "global") for s in (1, 2)]
+    with pytest.raises(FeatureError, match="bad magic"):
+        load_feature_dir(tmp_path, ("global", "finger"))
+
+
+def test_load_feature_dir_refuses_a_kind_its_file_name_does_not_have(tmp_path):
+    path = tmp_path / feature_filename(1, 1, 1, 1, "global")
+    write_feature_file(path, "skeleton", np.zeros((4, 66)), 1, 1, 1, 1)
+    with pytest.raises(FeatureError, match=rf"^{re.escape(str(path))}: header kind 'skeleton', "
+                                           r"name kind 'global'$"):
+        load_feature_dir(tmp_path, ("global",))
 
 
 def test_load_feature_dir_empty(tmp_path):

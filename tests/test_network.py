@@ -317,11 +317,14 @@ def _whole_array_bilstm_backward(model, layer, hidden, cell, pack, d_hidden):
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
-@pytest.mark.parametrize("lengths", [[1], [7, 4, 1, 6], [9, 1, 1, 3, 9, 2]])
-def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, bidirectional):
+@pytest.mark.parametrize("lengths,d,h", [
+    ([1], 5, 16), ([7, 4, 1, 6], 5, 16), ([9, 1, 1, 3, 9, 2], 5, 16),
+    # the reference width: OpenBLAS picks its kernels by the product's size
+    ([38, 31, 38, 12, 25, 1, 33, 20, 38, 7, 29, 16], 30, 100),
+], ids=[f"lengths{i}" for i in range(4)])
+def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, d, h, bidirectional):
     for dtype in (np.float64, np.float32):
         rng = np.random.default_rng(60 + len(lengths))
-        d, h = 5, 16
         model = layer_model(d, h, bidirectional, rng, dtype=dtype)
         x = rng.normal(size=(len(lengths), max(lengths), d))
         buffers = {}
@@ -403,7 +406,8 @@ def test_rebuilt_states_match_the_forward_bytes(lengths, bidirectional):
         buffers = {}
         pack, h1, (_, _, gates1) = run_layer(model, x, lengths, buffers)
         states1 = [buffers[key][:h1.size].reshape(h1.shape).copy() for key in ("cell", "hidden")]
-        keep = (rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5).astype(dtype)
+        keep = network._packed(
+            (rng.integers(0, 2, x.shape[:2] + (model.summary_dim,)) / 0.5).astype(dtype), pack)
         x2 = network._layer2_input(h1, pack, keep)
         h2, gates2 = network._bilstm_forward(model, [("b.l2", x2)], pack, True, buffers)
         states2 = [buffers[key][:h2.size].reshape(h2.shape).copy() for key in ("cell", "hidden")]
@@ -627,6 +631,8 @@ def test_dropout_masks_follow_the_documented_draw_order():
         rng = np.random.default_rng(43)
         for key, shape in shapes.items():
             want = (rng.random(shape) >= 0.3).astype(dtype) / (1.0 - 0.3)
+            if key.endswith(".l1"):  # drawn padded, kept as its packed rows
+                want = network._packed(want, cache["pack"])
             assert cache["dropout"][key].dtype == dtype, key
             np.testing.assert_array_equal(cache["dropout"][key], want, err_msg=key)
 
