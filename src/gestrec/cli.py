@@ -133,6 +133,8 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     log_path = args.log or Path(str(args.out) + ".log.csv")
+    if log_path.resolve() == args.out.resolve():
+        raise GestrecError(f"--log and --out name the same file: {args.out}")
     _check_output(args.out)
     _check_output(log_path)
     config = load_config(args.config)

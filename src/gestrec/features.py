@@ -88,7 +88,8 @@ def read_feature_file(path: str | Path):
 
 def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KINDS):
     """Group by sequence the files that `feature_filename` names for `kinds`,
-    reading no other file; a header whose kind is not its name's is refused.
+    reading no other file; a header whose kind is not its name's, or whose
+    key and kind an earlier file already had, is refused.
 
     Returns a list of (meta, streams) sorted by (gesture, finger, subject,
     trial); every requested kind must be present for every sequence, with
@@ -96,12 +97,17 @@ def load_feature_dir(directory: str | Path, kinds: tuple[str, ...] = FEATURE_KIN
     """
     directory = Path(directory)
     groups: dict[tuple, dict] = {}
+    first: dict[tuple, Path] = {}
     for kind in kinds:
         for path in sorted(directory.glob(f"*_{kind}.feat")):
             header, array = read_feature_file(path)
             if header["kind"] != kind:
                 raise FeatureError(f"{path}: header kind {header['kind']!r}, name kind {kind!r}")
             key = (header["gesture"], header["finger"], header["subject"], header["trial"])
+            if (key, kind) in first:
+                raise FeatureError(f"duplicate {kind} (gesture, finger, subject, trial) key "
+                                   f"{key}: {first[key, kind]} and {path}")
+            first[key, kind] = path
             groups.setdefault(key, {})[kind] = array
     if not groups:
         raise FeatureError(f"no {'/'.join(kinds)} .feat files under {directory}")

@@ -10,7 +10,7 @@ DEFAULT_LAGS = (1, 5, 10)
 
 
 class DegenerateInput(GestrecError):
-    """Point set too flat (rank < 2) to determine a rotation."""
+    """The points and the reference do not fix a unique rotation."""
 
 
 class NotARotation(GestrecError):
@@ -46,8 +46,13 @@ def kabsch_align(points: np.ndarray, reference: np.ndarray):
     R a proper rotation (the reflection case is repaired by flipping the sign
     of the smallest singular value). `points` is one frame (N, 3), giving R
     (3, 3) and t (3,), or a frame stack (T, N, 3), giving R (T, 3, 3) and
-    t (T, 3); `reference` is (N, 3). A flat frame of a stack is named by its
-    index in the `DegenerateInput` message.
+    t (T, 3); `reference` is (N, 3).
+
+    R is unique only when H = q^T p, of the centered reference q and points p,
+    has rank >= 2: a frame with s1(H) <= 1e-12 * max(|p|_F, 1) * max(|q|_F, 1)
+    raises `DegenerateInput`, a frame of a stack named by its index. As s1(H)
+    <= min(s0(q) s1(p), s1(q) s0(p)) and s0(X) <= |X|_F, every p or q that is
+    flat (s1(X) <= 1e-12 * max(s0(X), 1)) is refused, with no SVD of its own.
     """
     pts = np.asarray(points, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
@@ -61,15 +66,13 @@ def kabsch_align(points: np.ndarray, reference: np.ndarray):
     p = pts - centroid_pts[..., None, :]
     q = ref - centroid_ref
 
-    for centered in (q, p):
-        s = np.linalg.svd(centered, compute_uv=False)
-        flat = s[..., 1] <= 1e-12 * np.maximum(s[..., 0], 1.0)
-        if flat.any():
-            where = f"frame {np.argmax(flat)}: " if flat.ndim else ""
-            raise DegenerateInput(f"{where}centered point matrix has rank < 2")
-
     h = q.T @ p
-    u, _, vt = np.linalg.svd(h)
+    u, s, vt = np.linalg.svd(h)
+    flat = s[..., 1] <= 1e-12 * np.maximum(np.linalg.norm(p, axis=(-2, -1)), 1.0) \
+        * max(np.linalg.norm(q), 1.0)
+    if flat.any():
+        where = f"frame {np.argmax(flat)}: " if flat.ndim else ""
+        raise DegenerateInput(f"{where}the points do not fix a unique rotation")
     flip = np.ones(h.shape[:-1])
     flip[..., 2] = np.sign(np.linalg.det(vt.mT @ u.mT))
     r = (vt.mT * flip[..., None, :]) @ u.mT

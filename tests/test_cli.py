@@ -386,6 +386,26 @@ def test_an_unwritable_output_is_refused_before_any_work(case, synth_root, featu
     assert (tmp_path / "taken.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("out, log", [("m.ckpt", "m.ckpt"), ("m.ckpt", "./m.ckpt"),
+                                      ("sub/../m.ckpt", "m.ckpt")])
+def test_train_refuses_a_log_that_is_the_checkpoint(out, log, feature_dir, config_file,
+                                                     tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("train began to train before it compared --log with --out")
+
+    monkeypatch.setattr(cli, "train_from_config", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(["train", "--features", feature_dir, "--config", config_file,
+                "--out", out, "--log", log]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"gestrec train: error: --log and --out name the same file: {out}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
 def test_train_overfits_synthetic_and_logs(feature_dir, config_file, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     rc = run(["train", "--features", feature_dir, "--classes", "14",

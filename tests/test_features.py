@@ -64,6 +64,22 @@ def kabsch_calls(monkeypatch):
     return calls
 
 
+def test_hand_pose_takes_one_svd_whatever_the_frame_count(tiny_sequences, monkeypatch):
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    positions = tiny_sequences[4].positions
+    for frames in (positions[0], positions[:1], positions[:2], positions):
+        shapes.clear()
+        hand_model.hand_pose(frames)
+        assert shapes == [frames.shape[:-2] + (3, 3)]
+
+
 def test_one_pose_solve_gives_the_standalone_streams(tiny_sequences, kabsch_calls):
     config = PipelineConfig()
     full = tiny_sequences[4]
@@ -202,6 +218,17 @@ def test_load_feature_dir_refuses_a_kind_its_file_name_does_not_have(tmp_path):
     write_feature_file(path, "skeleton", np.zeros((4, 66)), 1, 1, 1, 1)
     with pytest.raises(FeatureError, match=rf"^{re.escape(str(path))}: header kind 'skeleton', "
                                            r"name kind 'global'$"):
+        load_feature_dir(tmp_path, ("global",))
+
+
+def test_load_feature_dir_refuses_two_files_of_one_key_and_kind(tmp_path):
+    original = tmp_path / feature_filename(1, 1, 1, 1, "global")
+    copy = tmp_path / "zz_copy_global.feat"
+    for path, value in ((original, 0.0), (copy, 1.0)):
+        write_feature_file(path, "global", np.full((4, 30), value), 1, 1, 1, 1)
+    message = (f"duplicate global (gesture, finger, subject, trial) key (1, 1, 1, 1): "
+               f"{original} and {copy}")
+    with pytest.raises(FeatureError, match=f"^{re.escape(message)}$"):
         load_feature_dir(tmp_path, ("global",))
 
 

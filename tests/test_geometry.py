@@ -185,6 +185,91 @@ def test_kabsch_stack_names_degenerate_last_frame():
         kabsch_align(np.stack([ref, ref, line]), ref)
 
 
+def _two_svd_refusal(points, reference):
+    """The rank rule `kabsch_align` used before it read H's singular values:
+    one SVD of the centered reference, then one of each centered frame, each
+    refusing s1 <= 1e-12 * max(s0, 1). Returns "reference", the index of the
+    first refused frame (0 for a lone frame) or None."""
+    q = reference - reference.mean(axis=0)
+    p = points - points.mean(axis=-2)[..., None, :]
+    for centered in (q, p):
+        s = np.linalg.svd(centered, compute_uv=False)
+        flat = s[..., 1] <= 1e-12 * np.maximum(s[..., 0], 1.0)
+        if flat.any():
+            return "reference" if centered is q else int(np.argmax(flat))
+    return None
+
+
+def _rank_two_points_with_rank_one_h():
+    """p = (q_x, 0, w) against the reference palm q, which lies in the z = 0
+    plane, with w centered and orthogonal to q_x and q_y: p has rank 2 but
+    H = q^T p has rank 1, so the best-fitting rotations form a family about
+    x, and p with w negated, which has the same H, fits each one as well."""
+    q = REFERENCE_PALM - REFERENCE_PALM.mean(axis=0)
+    assert not q[:, 2].any()
+    basis = np.column_stack([np.ones(len(q)), q[:, 0], q[:, 1]])
+    w = np.random.default_rng(17).normal(0.0, 0.03, len(q))
+    w -= basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
+    return np.column_stack([q[:, 0], np.zeros(len(q)), w])
+
+
+def test_kabsch_refuses_rank_two_points_whose_rotation_is_not_unique():
+    ref = REFERENCE_PALM
+    frame = _rank_two_points_with_rank_one_h() + [0.1, -0.2, 0.3]
+    assert np.linalg.matrix_rank(frame - frame.mean(axis=0), tol=1e-12) == 2
+    assert _two_svd_refusal(frame, ref) is None     # the old rule let it through
+    with pytest.raises(DegenerateInput, match="^the points do not fix a unique rotation$"):
+        kabsch_align(frame, ref)
+    for k in range(3):
+        stack = np.stack([ref, ref, ref])
+        stack[k] = frame
+        with pytest.raises(DegenerateInput, match=f"^frame {k}: "):
+            kabsch_align(stack, ref)
+
+
+def _planted_flat(rng, scale, n=7):
+    """n points on a random line, or all on one point, at `scale` around a
+    random offset."""
+    offset = rng.uniform(-1.0, 1.0, 3) * scale
+    if rng.random() < 0.5:
+        return offset + np.outer(rng.uniform(-1.0, 1.0, n), rng.normal(size=3)) * scale
+    return np.repeat(offset[None], n, axis=0)
+
+
+def test_h_rank_rule_refuses_every_frame_the_two_svd_rule_refused():
+    # seeded stacks with collinear or coincident frames, and flat references,
+    # planted at scales 1e-9 ... 1e3; the other frames and references are
+    # random at scales where the rotation is well determined
+    rng = np.random.default_rng(18)
+    flat_scales = 10.0 ** np.arange(-9, 4)
+    outcomes = {"accepted": 0, "reference": 0, "frame": 0}
+    for _ in range(400):
+        kind = rng.integers(3)
+        if kind == 0:
+            ref = REFERENCE_PALM
+        elif kind == 1:
+            ref = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-2, 2)
+        else:
+            ref = _planted_flat(rng, rng.choice(flat_scales))
+        frames = rng.integers(1, 9)
+        points = rng.normal(size=(frames, 7, 3)) * 10.0 ** rng.uniform(-3, 3, (frames, 1, 1))
+        for k in np.flatnonzero(rng.random(frames) < 0.3):
+            points[k] = _planted_flat(rng, rng.choice(flat_scales))
+        if rng.random() < 0.25:
+            points = points[0]
+        want = _two_svd_refusal(points, ref)
+        if want is None:
+            kabsch_align(points, ref)
+            outcomes["accepted"] += 1
+            continue
+        outcomes["reference" if want == "reference" else "frame"] += 1
+        first = 0 if want == "reference" else want
+        prefix = f"frame {first}: " if points.ndim == 3 else ""
+        with pytest.raises(DegenerateInput, match=f"^{prefix}the points do not fix"):
+            kabsch_align(points, ref)
+    assert min(outcomes.values()) > 50, outcomes
+
+
 def test_euler_stack_matches_per_frame_calls():
     rng = np.random.default_rng(16)
     half_turn_x = np.diag([1.0, -1.0, -1.0])
