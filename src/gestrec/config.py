@@ -119,18 +119,22 @@ def _parse_value(name: str, text: str, default):
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
-    """Apply `key = value` overrides from a text file to the defaults."""
+    """Apply `key = value` overrides from a text file to the defaults; a key
+    set twice is refused."""
     config = PipelineConfig()
     if path is None:
         return config
     defaults = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
-    overrides = {}
+    overrides, seen = {}, {}
     for where, _, line in settings_lines(path, ConfigError):
         if "=" not in line:
             raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in defaults:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{where}: {key!r} is already set at {seen[key]}")
+        seen[key] = where
         try:
             overrides[key] = _parse_value(key, value, defaults[key])
         except (ValueError, TypeError) as e:

@@ -19,7 +19,8 @@ from .skeleton import (
 )
 
 FEATURE_MAGIC = "GESTREC-FEAT 1"
-_HEADER_COUNTS = ("dims", "frames", "gesture", "finger", "subject", "trial")
+# the header's integers and the least value of each; with `kind` its only keys
+_HEADER_MINIMA = {"dims": 1, "frames": 1, "gesture": 0, "finger": 0, "subject": 0, "trial": 0}
 
 
 class FeatureError(GestrecError):
@@ -70,10 +71,12 @@ def read_feature_file(path: str | Path):
     """Returns (metadata dict, (frames, dims) float64 array); a malformed
     file, or a payload holding NaN or inf, raises `FeatureError`."""
     header, payload = container.read(path, FEATURE_MAGIC, FeatureError)
-    if not isinstance(header.get("kind"), str) \
-            or not all(type(header.get(k)) is int and header[k] >= 0 for k in _HEADER_COUNTS):
-        raise FeatureError(f"{path}: header needs a string 'kind' and non-negative "
-                           f"integers {', '.join(_HEADER_COUNTS)}")
+    if set(header) != {"kind", *_HEADER_MINIMA} or not isinstance(header["kind"], str) \
+            or not all(type(header[k]) is int and header[k] >= least
+                       for k, least in _HEADER_MINIMA.items()):
+        raise FeatureError(f"{path}: header needs exactly a string 'kind', positive integers "
+                           f"dims, frames and non-negative integers gesture, finger, "
+                           f"subject, trial")
     expected = header["frames"] * header["dims"]
     if payload.size != expected:
         raise FeatureError(f"{path}: payload is {8 * payload.size} bytes, expected {8 * expected}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,16 +104,25 @@ class NetworkModel:
         return self.hidden * len(self.directions)
 
 
+# the architecture: `init_model`'s parameters, and with `arrays` a checkpoint header's keys
+_ARCHITECTURE = tuple(f.name for f in fields(NetworkModel) if f.name not in ("params", "norm"))
+
+
 def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int = 100,
                fc_out: int = 128, head: tuple[int, ...] = (256, 128),
                dropout: float = 0.3, bidirectional: bool = True,
                seed: int = 0, dtype=np.float32) -> NetworkModel:
     """Build a model with uniform(+/- 1/sqrt(fan_in)) weights, zero biases and
-    forget-gate bias +1. Branch names must be distinct, and every size at
-    least 1. The weights are drawn in float64, so a seed gives the same draws
-    at either `dtype` (float32 or float64), and then rounded to `dtype` once."""
+    forget-gate bias +1. Branch names must be distinct, every size at least
+    1, `dropout` a number in [0, 1) and `bidirectional` a bool. The weights
+    are drawn in float64, so a seed gives the same draws at either `dtype`
+    (float32 or float64), and then rounded to `dtype` once."""
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise NetworkError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
+    if type(dropout) not in (int, float) or not 0 <= dropout < 1:
+        raise NetworkError(f"dropout must be a number in [0, 1), got {dropout!r}")
+    if type(bidirectional) is not bool:
+        raise NetworkError(f"bidirectional must be a bool, got {bidirectional!r}")
     model = NetworkModel(tuple(branches), dict(input_dims), classes, hidden,
                          fc_out, tuple(head), dropout, bidirectional, seed, np.dtype(dtype))
     if len(set(model.branches)) < len(model.branches):
@@ -802,56 +811,44 @@ def _array_manifest(model: NetworkModel):
 
 
 def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
-    """Header (architecture, the model's `dtype` and the array manifest) then
-    the arrays as little-endian float64, written atomically. Every float32
-    value is a float64 value too, so a float32 model is stored exactly. A
-    non-finite value, which `load_checkpoint` would refuse, is refused before
-    anything is written."""
+    """Header (`init_model`'s arguments for the model, `dtype` by name, and
+    the array manifest) then the arrays as little-endian float64, written
+    atomically. Every float32 value is a float64 value too, so a float32
+    model is stored exactly. A non-finite value, which `load_checkpoint`
+    would refuse, is refused before anything is written."""
     arrays = _array_manifest(model)
     for name, arr in arrays:
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: array {name} holds a non-finite value")
-    header = {
-        "dtype": model.dtype.name,
-        "classes": model.classes,
-        "branches": list(model.branches),
-        "input_dims": model.input_dims,
-        "hidden": model.hidden,
-        "fc_out": model.fc_out,
-        "head": list(model.head),
-        "dropout": model.dropout,
-        "bidirectional": model.bidirectional,
-        "seed": model.seed,
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
-    }
+    header = {name: getattr(model, name) for name in _ARCHITECTURE}
+    header["dtype"] = model.dtype.name
+    header["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
     container.write(path, CHECKPOINT_MAGIC, header, [arr for _, arr in arrays])
 
 
 def load_checkpoint(path: str | Path) -> NetworkModel:
     """Rebuild the header's architecture with `init_model` and fill its arrays
-    from the payload; the header's manifest and the payload size must match
-    that architecture exactly, every value must be finite, every
-    normalization `std` positive, and every parameter exactly representable
-    in the header's `dtype` ("float32" or "float64"; float64 if the header
-    has none, as in checkpoints written before models had a dtype)."""
+    from the payload. The header's keys must be `init_model`'s parameters and
+    `arrays`, its `dtype` "float32" or "float64" (float64 if it has none, as
+    before models had a dtype), its manifest and payload size must match the
+    architecture, every value must be finite, every normalization `std`
+    positive, and every parameter exactly representable in `dtype`."""
     header, payload = container.read(path, CHECKPOINT_MAGIC, CheckpointError)
-    dropout = header.get("dropout")
-    if type(header.get("bidirectional")) is not bool \
-            or type(dropout) not in (int, float) or not 0 <= dropout < 1:
-        raise CheckpointError(f"{path}: header needs a boolean 'bidirectional' "
-                              f"and a 'dropout' in [0, 1)")
-    dtype = header.get("dtype", "float64")
+    header.setdefault("dtype", "float64")
+    odd = set(header) ^ {*_ARCHITECTURE, "arrays"}
+    if odd:
+        raise CheckpointError(f"{path}: header keys must be init_model's parameters and "
+                              f"'arrays'; unknown or missing: {', '.join(sorted(odd))}")
+    manifest, dtype = header.pop("arrays"), header["dtype"]
     if dtype not in ("float32", "float64"):
         raise CheckpointError(f"{path}: header 'dtype' must be \"float32\" or \"float64\", "
                               f"got {dtype!r}")
     try:
-        model = init_model(header["branches"], header["input_dims"], header["classes"],
-                           header["hidden"], header["fc_out"], header["head"],
-                           dropout, header["bidirectional"], header["seed"], dtype)
-    except (KeyError, TypeError, ValueError, OverflowError, NetworkError) as e:
+        model = init_model(**header)
+    except (TypeError, ValueError, OverflowError, NetworkError) as e:
         raise CheckpointError(f"{path}: bad architecture in header: {e!r}") from e
     arrays = _array_manifest(model)
-    if header.get("arrays") != [[name, list(arr.shape)] for name, arr in arrays] \
+    if manifest != [[name, list(arr.shape)] for name, arr in arrays] \
             or payload.size != sum(arr.size for _, arr in arrays):
         raise CheckpointError(f"{path}: array manifest or payload size does not match "
                               f"the architecture in the header")

@@ -20,7 +20,7 @@ from .hand_model import (
     GLOBAL_CHANNELS,
     forward_kinematics,
 )
-from .skeleton import SkeletonSequence
+from .skeleton import SkeletonError, SkeletonSequence, validate_sequence
 
 ANGLE_LIMIT = 1.2
 # The longest script duration, in frames: DHG clips run 20-150, and speed jitter
@@ -127,7 +127,9 @@ def builtin_scripts() -> list[GestureScript]:
 
 def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
                      seed: int) -> list[SkeletonSequence]:
-    """Render scripts x subjects x trials skeleton sequences, reproducibly."""
+    """Render scripts x subjects x trials skeleton sequences, reproducibly;
+    a sequence that `validate_sequence` refuses raises `InvalidConfig` naming
+    its script, subject and trial."""
     if len(scripts) < 2:
         raise InvalidConfig("need at least 2 distinct scripts")
     if subjects < 1 or trials < 1:
@@ -155,9 +157,13 @@ def generate_dataset(scripts: list[GestureScript], subjects: int, trials: int,
 
                 positions = forward_kinematics(pose, angles)
                 positions += trial_rng.normal(0.0, script.noise_sigma, positions.shape)
-                sequences.append(SkeletonSequence(
-                    positions, gesture=script.gesture, finger=script.finger,
-                    subject=subject, trial=trial))
+                seq = SkeletonSequence(positions, gesture=script.gesture,
+                                       finger=script.finger, subject=subject, trial=trial)
+                try:
+                    sequences.append(validate_sequence(seq))
+                except SkeletonError as e:
+                    raise InvalidConfig(f"script {script.name}, subject {subject}, "
+                                        f"trial {trial}: {e}") from e
     return sequences
 
 
@@ -183,12 +189,13 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
     Format: `[script NAME]` sections with `key = value` lines. Curve channels
     take comma-separated `time:value` control points; `gesture`, `finger`,
     `duration` (two ints), `amp_jitter`, `speed_jitter` and `noise_sigma`
-    cover the remaining fields.
+    cover the remaining fields. A key set twice in one section is refused.
     """
     scripts: list[GestureScript] = []
     name = None
     fields: dict = {}
     curves: dict[str, Curve] = {}
+    seen: dict[str, str] = {}  # key -> `path:line` where this section set it
 
     def flush():
         if name is None:
@@ -203,13 +210,16 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
             parts = line[1:-1].split()
             if len(parts) != 2 or parts[0] != "script":
                 raise InvalidConfig(f"{where}: bad section header: {raw!r}")
-            name, fields, curves = parts[1], {}, {}
+            name, fields, curves, seen = parts[1], {}, {}, {}
             continue
         if name is None:
             raise InvalidConfig(f"{where}: unexpected line outside a script section: {raw!r}")
         if "=" not in line:
             raise InvalidConfig(f"{where}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise InvalidConfig(f"{where}: {key!r} is already set at {seen[key]}")
+        seen[key] = where
         try:
             if key in ("gesture", "finger"):
                 fields[key] = int(value)

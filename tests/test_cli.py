@@ -309,6 +309,66 @@ def test_coordinates_that_would_overflow_are_one_line_errors(command, synth_root
         f"gestrec {command}: error: {where}: |coordinate| > 1e+100 at frame 0, joint 0"]
 
 
+@pytest.mark.parametrize("scripts,where", [
+    ("[script a]\ngesture = 1\ntx = 0:0, 1:1e200\n"
+     "[script b]\ngesture = 2\nnoise_sigma = 1e300\n",
+     "script a, subject 1, trial 1: |coordinate| > 1e+100 at frame 1, joint 0"),
+    ("[script a]\ngesture = 1\n[script b]\ngesture = 2\nnoise_sigma = 1e300\n",
+     "script b, subject 1, trial 1: |coordinate| > 1e+100 at frame 0, joint 0")],
+    ids=["huge-tx", "huge-noise"])
+def test_synth_refuses_a_sequence_that_extract_would_refuse(scripts, where, tmp_path, capsys):
+    path = tmp_path / "scripts.txt"
+    path.write_text(scripts)
+    assert run(["synth", "--out", tmp_path / "data", "--scripts", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"gestrec synth: error: {where}"]
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command,option,text,lines,key", [
+    ("extract", "--config", "epochs = 5\nlstm_hidden = 4\nepochs = 7\n", (3, 1), "epochs"),
+    ("synth", "--scripts", "[script a]\ngesture = 1\ntx = 0:0, 1:0.1\ngesture = 3\n"
+                           "tx = 0:0, 1:0.2\n[script b]\ngesture = 2\n", (4, 2), "gesture"),
+    ("synth", "--scripts", "[script a]\ngesture = 1\ntx = 0:0, 1:0.1\n# again\n"
+                           "tx = 0:0, 1:0.2\n[script b]\ngesture = 2\n", (5, 3), "tx")],
+    ids=["config", "script-field", "script-curve"])
+def test_a_key_set_twice_is_refused_naming_both_lines(command, option, text, lines, key,
+                                                      synth_root, tmp_path, capsys):
+    # a key that an earlier script section set is the next section's own
+    path = tmp_path / "settings.txt"
+    path.write_text(text)
+    inputs = {"extract": ["--dataset", synth_root], "synth": []}[command]
+    assert run([command, *inputs, "--out", tmp_path / "out", option, path]) == 1
+    again, first = lines
+    assert capsys.readouterr().err.splitlines() == [
+        f"gestrec {command}: error: {path}:{again}: {key!r} is already set at {path}:{first}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["no-frames", "no-dims", "unknown-key"])
+def test_train_names_a_feature_file_whose_header_is_refused(case, feature_dir, config_file,
+                                                            tmp_path, capsys):
+    # the three files of sequence (1, 1, 1, 1); `train` reads the global one first
+    features = tmp_path / "features"
+    shutil.copytree(feature_dir, features)
+    for path in sorted(features.glob("g01_f01_s01_t01_*.feat")):
+        if case == "unknown-key":
+            magic, header, rest = path.read_bytes().split(b"\n", 2)
+            header = json.dumps({**json.loads(header), "note": "x"}, sort_keys=True)
+            path.write_bytes(b"\n".join([magic, header.encode(), rest]))
+        else:
+            meta, array = read_feature_file(path)
+            empty = array[:0] if case == "no-frames" else array[:, :0]
+            write_feature_file(path, meta["kind"], empty, meta["gesture"], meta["finger"],
+                               meta["subject"], meta["trial"])
+    assert run(["train", "--features", features, "--config", config_file,
+                "--out", tmp_path / "m.ckpt"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"gestrec train: error: {features / 'g01_f01_s01_t01_global.feat'}: header needs "
+        f"exactly a string 'kind', positive integers dims, frames and non-negative integers "
+        f"gesture, finger, subject, trial"]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_loocv_names_the_sequence_whose_features_fail(synth_root, tmp_path, capsys):
     def collapse_palm(positions):
         positions[0, list(MCPS)] = positions[0, PALM]

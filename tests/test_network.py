@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -1056,7 +1057,10 @@ def test_train_rejects_mismatched_stream_width():
     ({"branches": ("global", "finger", "global")}, "repeat"), ({"classes": 0}, "classes"),
     ({"hidden": 0}, "hidden"), ({"fc_out": 0}, "fc_out"), ({"head": (6, 0)}, "head width 1"),
     ({"input_dims": {"global": 5, "finger": 0, "skeleton": 6}}, "'finger'"),
-    ({"dtype": np.float16}, "dtype")])
+    ({"dtype": np.float16}, "dtype"), ({"dropout": -0.5}, "dropout"),
+    ({"dropout": 1.0}, "dropout"), ({"dropout": float("nan")}, "dropout"),
+    ({"dropout": 5}, "dropout"), ({"dropout": "0.3"}, "dropout"),
+    ({"bidirectional": 1}, "bidirectional")])
 def test_init_model_refuses_repeated_branches_and_empty_sizes(change, message):
     args = {"branches": ("global", "finger", "skeleton"),
             "input_dims": {"global": 5, "finger": 7, "skeleton": 6},
@@ -1223,7 +1227,11 @@ CORRUPT_CHECKPOINTS = {
     "hidden-mismatch": lambda m, h, rest: [m, _with_header(h, hidden=h["hidden"] + 1), rest],
     "zero-classes": _without_classes,
     "dtype-unknown": lambda m, h, rest: [m, _with_header(h, dtype="float16"), rest],
+    "dtype-alias": lambda m, h, rest: [m, _with_header(h, dtype="f4"), rest],
     "float32-inexact": _inexact_float32,
+    "unknown-key": lambda m, h, rest: [m, _with_header(h, lstm_hidden=7, note="x"), rest],
+    "dropout-one": lambda m, h, rest: [m, _with_header(h, dropout=1.0), rest],
+    "bidirectional-int": lambda m, h, rest: [m, _with_header(h, bidirectional=1), rest],
 }
 
 
@@ -1235,6 +1243,14 @@ def test_malformed_checkpoint_raises_checkpoint_error(case, tmp_path):
     path.write_bytes(b"\n".join(CORRUPT_CHECKPOINTS[case](magic, json.loads(header), rest)))
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_keys_are_init_models_parameters_and_arrays(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(seed=37, bidirectional=False), path)
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    assert set(header) == {*inspect.signature(init_model).parameters, "arrays"}
+    assert header["dtype"] == "float32" and header["bidirectional"] is False
 
 
 @pytest.mark.parametrize("array,value", [("params/head.out.b", float("nan")),
