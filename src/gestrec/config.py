@@ -90,17 +90,38 @@ class PipelineConfig(Optimization):
         super().__post_init__()
 
 
-def settings_lines(path: str | Path, error: type[GestrecError]):
-    """Yield (`path:lineno`, raw line, its text before any `#`, stripped) for each
-    line with such text in the UTF-8 file at `path`; other bytes raise `error`."""
+def read_settings(path: str | Path, error: type[GestrecError], section: str | None = None):
+    """The sections of the UTF-8 settings file at `path`, in file order, as
+    (name, {key: (`path:line`, value text)}) pairs; text after `#` is a comment.
+    Without `section` the file is one unnamed section, named None; with it, each
+    section opens with a `[section NAME]` line. A non-UTF-8 file, a bad header,
+    a key line before the first header, a line without `=` and a key set twice
+    in one section raise `error`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e})") from e
+    sections = [] if section else [(None, {})]
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield f"{path}:{lineno}", raw, line
+        line, where = raw.split("#", 1)[0].strip(), f"{path}:{lineno}"
+        if not line:
+            continue
+        if section and line.startswith("[") and line.endswith("]"):
+            parts = line[1:-1].split()
+            if len(parts) != 2 or parts[0] != section:
+                raise error(f"{where}: bad section header: {raw!r}")
+            sections.append((parts[1], {}))
+            continue
+        if not sections:
+            raise error(f"{where}: unexpected line outside a {section} section: {raw!r}")
+        if "=" not in line:
+            raise error(f"{where}: expected 'key = value'")
+        key, value = (s.strip() for s in line.split("=", 1))
+        entries = sections[-1][1]
+        if key in entries:
+            raise error(f"{where}: {key!r} is already set at {entries[key][0]}")
+        entries[key] = (where, value)
+    return sections
 
 
 def _parse_value(name: str, text: str, default):
@@ -125,16 +146,11 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return config
     defaults = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
-    overrides, seen = {}, {}
-    for where, _, line in settings_lines(path, ConfigError):
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
+    [(_, entries)] = read_settings(path, ConfigError)
+    overrides = {}
+    for key, (where, value) in entries.items():
         if key not in defaults:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"{where}: {key!r} is already set at {seen[key]}")
-        seen[key] = where
         try:
             overrides[key] = _parse_value(key, value, defaults[key])
         except (ValueError, TypeError) as e:

@@ -113,8 +113,9 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
                dropout: float = 0.3, bidirectional: bool = True,
                seed: int = 0, dtype=np.float32) -> NetworkModel:
     """Build a model with uniform(+/- 1/sqrt(fan_in)) weights, zero biases and
-    forget-gate bias +1. Branch names must be distinct, every size at least
-    1, `dropout` a number in [0, 1) and `bidirectional` a bool. The weights
+    forget-gate bias +1. `branches` must be a non-empty list or tuple of
+    distinct strings, every size a Python int of at least 1, `seed` an int of
+    at least 0, `dropout` a number in [0, 1) and `bidirectional` a bool. The weights
     are drawn in float64, so a seed gives the same draws at either `dtype`
     (float32 or float64), and then rounded to `dtype` once."""
     if np.dtype(dtype) not in (np.float32, np.float64):
@@ -123,6 +124,11 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
         raise NetworkError(f"dropout must be a number in [0, 1), got {dropout!r}")
     if type(bidirectional) is not bool:
         raise NetworkError(f"bidirectional must be a bool, got {bidirectional!r}")
+    if type(seed) is not int or seed < 0:
+        raise NetworkError(f"seed must be an int of at least 0, got {seed!r}")
+    if type(branches) not in (list, tuple) or not branches \
+            or any(type(name) is not str for name in branches):
+        raise NetworkError(f"branches must be a non-empty list or tuple of str, got {branches!r}")
     model = NetworkModel(tuple(branches), dict(input_dims), classes, hidden,
                          fc_out, tuple(head), dropout, bidirectional, seed, np.dtype(dtype))
     if len(set(model.branches)) < len(model.branches):
@@ -134,6 +140,8 @@ def init_model(branches, input_dims: dict[str, int], classes: int, hidden: int =
              **{f"head width {i}": width for i, width in enumerate(model.head)},
              **{f"input dim of {name!r}": input_dims[name] for name in model.branches}}
     for what, size in sizes.items():
+        if type(size) is not int:
+            raise NetworkError(f"{what} must be an int, got {size!r}")
         if size < 1:
             raise NetworkError(f"{what} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)

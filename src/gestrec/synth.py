@@ -8,12 +8,12 @@ fresh noise, and everything is reproducible from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import settings_lines
+from .config import _parse_value, read_settings
 from .errors import InvalidConfig
 from .hand_model import (
     ANGLE_CHANNELS,
@@ -47,7 +47,7 @@ class GestureScript:
     _tables: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        if not 1 <= self.duration[0] <= self.duration[1]:
+        if len(self.duration) != 2 or not 1 <= self.duration[0] <= self.duration[1]:
             raise InvalidConfig(f"script {self.name}: bad duration range {self.duration}")
         if self.duration[1] > MAX_DURATION:
             raise InvalidConfig(f"script {self.name}: duration above {MAX_DURATION} frames")
@@ -61,6 +61,9 @@ class GestureScript:
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidConfig(f"script {self.name}: noise_sigma must be finite and "
                                 f"non-negative: {self.noise_sigma}")
+        for name in ("amp_jitter", "speed_jitter", "noise_sigma"):
+            # -0.0 passes the checks above, but numpy refuses it as a width or scale
+            object.__setattr__(self, name, abs(getattr(self, name)))
         tables = []
         for channel, points in self.curves.items():
             if channel not in GLOBAL_CHANNELS and channel not in ANGLE_CHANNELS:
@@ -187,53 +190,29 @@ def parse_scripts(path: str | Path) -> list[GestureScript]:
     """Read gesture scripts from a text config.
 
     Format: `[script NAME]` sections with `key = value` lines. Curve channels
-    take comma-separated `time:value` control points; `gesture`, `finger`,
-    `duration` (two ints), `amp_jitter`, `speed_jitter` and `noise_sigma`
-    cover the remaining fields. A key set twice in one section is refused.
+    take comma-separated `time:value` control points; `gesture` (an int) and
+    every other field with a default are read like `--config` values, in the
+    format of that default. A key set twice in one section is refused.
     """
-    scripts: list[GestureScript] = []
-    name = None
-    fields: dict = {}
-    curves: dict[str, Curve] = {}
-    seen: dict[str, str] = {}  # key -> `path:line` where this section set it
-
-    def flush():
-        if name is None:
-            return
-        if "gesture" not in fields:
+    # a scalar key's default gives its format; `gesture` has none and is an int
+    formats = {f.name: f.default for f in fields(GestureScript)
+               if f.init and f.default is not MISSING}
+    formats["gesture"] = 1
+    scripts = []
+    for name, entries in read_settings(path, InvalidConfig, section="script"):
+        values, curves = {}, {}
+        for key, (where, value) in entries.items():
+            try:
+                if key in formats:
+                    values[key] = _parse_value(key, value, formats[key])
+                else:
+                    pairs = (chunk.split(":") for chunk in value.split(","))
+                    curves[key] = tuple((float(t), float(v)) for t, v in pairs)
+            except ValueError as e:
+                raise InvalidConfig(f"{where}: bad value for {key!r}: {value!r} ({e})") from e
+        if "gesture" not in values:
             raise InvalidConfig(f"script {name}: missing gesture id")
-        scripts.append(GestureScript(name=name, curves=dict(curves), **fields))
-
-    for where, raw, line in settings_lines(path, InvalidConfig):
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            parts = line[1:-1].split()
-            if len(parts) != 2 or parts[0] != "script":
-                raise InvalidConfig(f"{where}: bad section header: {raw!r}")
-            name, fields, curves, seen = parts[1], {}, {}, {}
-            continue
-        if name is None:
-            raise InvalidConfig(f"{where}: unexpected line outside a script section: {raw!r}")
-        if "=" not in line:
-            raise InvalidConfig(f"{where}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key in seen:
-            raise InvalidConfig(f"{where}: {key!r} is already set at {seen[key]}")
-        seen[key] = where
-        try:
-            if key in ("gesture", "finger"):
-                fields[key] = int(value)
-            elif key == "duration":
-                lo, hi = value.split()
-                fields[key] = (int(lo), int(hi))
-            elif key in ("amp_jitter", "speed_jitter", "noise_sigma"):
-                fields[key] = float(value)
-            else:
-                pairs = (chunk.split(":") for chunk in value.split(","))
-                curves[key] = tuple((float(t), float(v)) for t, v in pairs)
-        except ValueError as e:
-            raise InvalidConfig(f"{where}: bad value for {key!r}: {value!r} ({e})") from e
-    flush()
+        scripts.append(GestureScript(name=name, curves=curves, **values))
     if not scripts:
         raise InvalidConfig(f"no scripts found in {path}")
     return scripts

@@ -344,6 +344,21 @@ def test_a_key_set_twice_is_refused_naming_both_lines(command, option, text, lin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["amp_jitter", "speed_jitter", "noise_sigma"])
+def test_synth_reads_a_negative_zero_jitter_or_noise_as_zero(key, tmp_path):
+    # -0.0 passes the range checks, and numpy refuses it as a width or a scale
+    trees = []
+    for value in ("0", "-0", "-0.0"):
+        path = tmp_path / f"{value}.txt"
+        path.write_text(f"[script a]\ngesture = 1\ntx = 0:0, 1:0.1\n{key} = {value}\n"
+                        "[script b]\ngesture = 2\n")
+        out = tmp_path / f"data{value}"
+        assert run(["synth", "--out", out, "--subjects", "2", "--trials", "1",
+                    "--scripts", path]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.txt")})
+    assert len(trees[0]) == 4 and trees[1] == trees[0] and trees[2] == trees[0]
+
+
 @pytest.mark.parametrize("case", ["no-frames", "no-dims", "unknown-key"])
 def test_train_names_a_feature_file_whose_header_is_refused(case, feature_dir, config_file,
                                                             tmp_path, capsys):

@@ -1060,7 +1060,12 @@ def test_train_rejects_mismatched_stream_width():
     ({"dtype": np.float16}, "dtype"), ({"dropout": -0.5}, "dropout"),
     ({"dropout": 1.0}, "dropout"), ({"dropout": float("nan")}, "dropout"),
     ({"dropout": 5}, "dropout"), ({"dropout": "0.3"}, "dropout"),
-    ({"bidirectional": 1}, "bidirectional")])
+    ({"bidirectional": 1}, "bidirectional"), ({"hidden": 3.0}, "hidden"),
+    ({"hidden": True}, "hidden"), ({"fc_out": "4"}, "fc_out"), ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"), ({"branches": ()}, "branches"),
+    ({"branches": {"global": 1, "finger": 1, "skeleton": 1}}, "branches"),
+    ({"classes": np.int64(4)}, "classes"), ({"head": (np.int64(3),)}, "head width 0"),
+    ({"input_dims": {"global": 5, "finger": 7.0, "skeleton": 6}}, "'finger'")])
 def test_init_model_refuses_repeated_branches_and_empty_sizes(change, message):
     args = {"branches": ("global", "finger", "skeleton"),
             "input_dims": {"global": 5, "finger": 7, "skeleton": 6},
@@ -1232,6 +1237,11 @@ CORRUPT_CHECKPOINTS = {
     "unknown-key": lambda m, h, rest: [m, _with_header(h, lstm_hidden=7, note="x"), rest],
     "dropout-one": lambda m, h, rest: [m, _with_header(h, dropout=1.0), rest],
     "bidirectional-int": lambda m, h, rest: [m, _with_header(h, bidirectional=1), rest],
+    "seed-bool": lambda m, h, rest: [m, _with_header(h, seed=True), rest],
+    "seed-list": lambda m, h, rest: [m, _with_header(h, seed=[True]), rest],
+    # not sorted, so the object's keys are the branches in the model's order
+    "branches-object": lambda m, h, rest: [m, json.dumps(
+        {**h, "branches": {name: 1 for name in h["branches"]}}).encode(), rest],
 }
 
 

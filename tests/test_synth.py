@@ -1,4 +1,6 @@
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from gestrec.synth import (
     generate_dataset,
     parse_scripts,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_fk_zero_angles_reproduces_rest_pose():
@@ -191,3 +195,32 @@ def test_parse_scripts_tells_a_line_without_equals_from_one_outside_a_section(tm
     path.write_text("nonsense\n[script a]\ngesture = 1\n")
     with pytest.raises(InvalidConfig, match=":1: unexpected line outside a script section"):
         parse_scripts(path)
+
+
+@pytest.mark.parametrize("text", ["20 30", "20, 30", "20,30"])
+def test_parse_scripts_reads_a_duration_like_a_config_int_list(text, tmp_path):
+    path = tmp_path / "scripts.txt"
+    path.write_text(f"[script a]\ngesture = 1\nduration = {text}\n")
+    assert parse_scripts(path)[0].duration == (20, 30)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("duration = 5", "script a: bad duration range (5,)"),
+    ("duration = 5 6 7", "script a: bad duration range (5, 6, 7)"),
+    ("duration = 5 x", "bad value for 'duration': '5 x'"),
+    ("_tables = 1", "bad value for '_tables': '1'"),
+    ("name = b", "bad value for 'name': 'b'")])
+def test_parse_scripts_refuses_a_bad_duration_and_non_key_fields(line, message, tmp_path):
+    path = tmp_path / "scripts.txt"
+    path.write_text(f"[script a]\ngesture = 1\n{line}\n")
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        parse_scripts(path)
+
+
+def test_readme_scripts_entry_lists_every_key_once():
+    text = README.read_text(encoding="utf-8")
+    entry = text[text.index("- **Gesture scripts**"):].split("\n\n", 1)[0]
+    keys = [key for line in entry.splitlines() if line.startswith("  - `")
+            for key in re.findall(r"`(\w+)`", line.split(":", 1)[0])]
+    assert sorted(keys) == sorted(f.name for f in fields(GestureScript)
+                                  if f.init and f.name not in ("name", "curves"))
