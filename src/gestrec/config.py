@@ -132,7 +132,7 @@ def _parse_value(name: str, text: str, default):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{name}: expected a boolean, got {text!r}")
+        raise ValueError(f"{name}: expected a boolean, got {text!r}")
     if isinstance(default, tuple):
         parts = text.split(",") if isinstance(default[0], str) else text.replace(",", " ").split()
         return tuple(type(default[0])(x.strip()) for x in parts if x.strip())

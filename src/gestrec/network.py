@@ -4,7 +4,7 @@ Each feature branch (global motion, finger motion, raw skeleton) runs two
 bidirectional LSTM layers and one FC layer; branch outputs are concatenated
 into an FC head ending in a softmax. Backpropagation through time is exact,
 training uses Adam with optional global-norm gradient clipping, and every
-run is deterministic given its seed on a single thread.
+run is deterministic given its seed and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -279,6 +279,12 @@ def _buffer(buffers, key, shape, dtype, fresh=np.empty):
     return flat[:size].reshape(shape)
 
 
+def _views(flat, shapes):
+    """Consecutive views of the 1-D `flat`, one of each shape."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
 def _bilstm_forward(model, layers, pack, keep, buffers=None):
     """Every direction of one or more LSTM layers in one time loop over
     packed rows.
@@ -293,17 +299,16 @@ def _bilstm_forward(model, layers, pack, keep, buffers=None):
     activations from which `_bilstm_backward` rebuilds the rest. Each
     direction keeps its own input-projection GEMM and its own per-step
     product on its own `U`, and the rest is elementwise, so a layer's bytes
-    do not depend on which layers share its loop. With `buffers`, the gates
-    are a view of the group's own array there, and the hidden and cell
-    states are views of one scratch pair that every group shares: the
+    do not depend on which layers share its loop. Every step operand is
+    contiguous and full-size: at B >= 4 the product reads a contiguous copy
+    of `U.T` (below 4 rows the `.T` view, whose bytes such a copy does not
+    keep), and the gate scales are (rows, dirs, 4h) arrays. With `buffers`,
+    the gates are a view of the group's own array there, and the cell
+    states and one scratch of the hidden states, gate scales and `U.T`
+    copies are views of arrays that every group shares and refills: the
     hidden states are valid only until the next group runs.
     """
     h, dtype = model.hidden, model.dtype
-    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
-    # tanh(z * scale) * scale + shift gives all four gates with one tanh
-    scale = np.full(4 * h, 0.5, dtype)
-    scale[2 * h:3 * h] = 1.0
-    shift = 1.0 - scale
     units = [(f"{prefix}.{direction}", x) for prefix, x in layers
              for direction in model.directions]
     n, dirs = len(pack.gather), len(units)
@@ -314,7 +319,6 @@ def _bilstm_forward(model, layers, pack, keep, buffers=None):
         np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
                   out=gates[:, k])
     gates += np.stack([model.params[f"{p}.b"] for p, _ in units])
-    u_t = [model.params[f"{p}.U"].T for p, _ in units]
     # OpenBLAS rounds a one-row product, and at some sizes a two- or
     # three-row one, through other kernels than a larger product. A padded
     # batch multiplies all B rows at every step, so each step here
@@ -323,23 +327,47 @@ def _bilstm_forward(model, layers, pack, keep, buffers=None):
     # on how many others are still running (README Conventions says what
     # holds at other sizes).
     min_rows = min(len(pack.last), 4)
-    hidden = _buffer(buffers, "hidden", (n + min_rows - 1, dirs, h), dtype, np.zeros)
+    first = pack.steps[0][1]
+    # One scratch holds the hidden states and the step operands that live
+    # through the loop, each contiguous and full-size: the gate scales and
+    # shifts, as a (4h,) row costs numpy a broadcast at every use, and at 4
+    # rows or more a copy of each U.T, by which OpenBLAS multiplies 1.2-5x
+    # faster than by the view, to the same bytes (below 4 rows a copy does
+    # not keep the bytes). In `buffers` it is one array that every group
+    # shares and refills, since Adam updates U in place; separate arrays
+    # there fragmented the heap and raised loocv's peak RSS by 2-4%.
+    u_t = [model.params[f"{p}.U"].T for p, _ in units]
+    copies = len(u_t) if min_rows == 4 else 0
+    shapes = [(n + min_rows - 1, dirs, h), (first, dirs, 4 * h), (first, dirs, 4 * h),
+              (copies, h, 4 * h)]
+    scratch = _buffer(buffers, "hidden", (sum(map(math.prod, shapes)),), dtype, np.zeros)
+    hidden, scale, shift, u_copies = _views(scratch, shapes)
     hidden[n:] = 0.0
+    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2): with the i, f, o rows scaled by 0.5,
+    # tanh(z * scale) * scale + shift gives all four gates with one tanh
+    scale[...] = 0.5
+    scale[..., 2 * h:3 * h] = 1.0
+    np.subtract(1.0, scale, out=shift)
+    if copies:
+        for copy, u in zip(u_copies, u_t):
+            copy[...] = u
+        u_t = list(u_copies)
     cell = _buffer(buffers, "cell", (n, dirs, h), dtype)
-    h_prev = c_prev = np.zeros(hidden[:pack.steps[0][1]].shape, dtype)
-    product = np.empty((dirs, len(h_prev), 4 * h), dtype)
+    h_prev = c_prev = np.zeros(hidden[:first].shape, dtype)
+    i_g = np.empty((first, dirs, h), dtype)
+    product = np.empty((len(h_prev), dirs, 4 * h), dtype)
     for start, rows in pack.steps:
         g = gates[start:start + rows]
         m = max(rows, min_rows)
         for k, u in enumerate(u_t):
-            np.matmul(h_prev[:m, k], u, out=product[k, :m])
-        g += product[:, :rows].transpose(1, 0, 2)
-        g *= scale  # exact: the scales are powers of two
+            np.matmul(h_prev[:m, k], u, out=product[:m, k])
+        g += product[:rows]
+        g *= scale[:rows]  # exact: the scales are powers of two
         np.tanh(g, out=g)
-        g *= scale
-        g += shift
+        g *= scale[:rows]
+        g += shift[:rows]
         c = np.multiply(g[..., h:2 * h], c_prev[:rows], out=cell[start:start + rows])
-        c += g[..., :h] * g[..., 2 * h:3 * h]
+        c += np.multiply(g[..., :h], g[..., 2 * h:3 * h], out=i_g[:rows])
         np.tanh(c, out=hidden[start:start + rows])
         hidden[start:start + rows] *= g[..., 3 * h:]
         h_prev, c_prev = hidden[start:], c
@@ -383,30 +411,44 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad, buffers=No
         dz_i = dc * g * i(1 - i)        dz_f = dc * c_prev * f(1 - f)
         dz_g = dc * i * (1 - g^2)       dz_o = dh * tanh(c) * o(1 - o)
     with dc = dh * o(1 - tanh^2(c)) plus the carry. Each factor that needs no
-    carry is formed for the whole layer first: i's, g's and o's over the gates,
-    f's over the cell states, dc/dh over tanh(c). One time loop, last step
-    first, then carries dh and dc back and writes dz over the gates. dW, dU
-    and db are then one GEMM or sum each over the valid rows.
+    carry is formed for the whole layer first, with one (N, dirs, h)
+    temporary: i's, g's and o's over the gates, f's over the cell states,
+    dc/dh over tanh(c). One time loop, last step first, then carries dh and
+    dc back and writes dz over the gates. dW, dU and db are then one GEMM or
+    sum each over the valid rows.
     """
     prefix, x, gates = layer
     d_f, dc_dh, hidden = _lstm_states(model, gates, pack, buffers)  # the cell states and tanh(c)
     h = model.hidden
     first = pack.steps[0][1]  # the rows of step 0 start from the zero state
     gi, gf, gg, go = (gates[..., k * h:(k + 1) * h] for k in range(4))
-    d_f[first:] = (1.0 - gf[first:]) * gf[first:] * d_f[pack.prev]
+    c_prev = d_f[pack.prev]  # gathered before the f factor goes over the cell states
+    np.subtract(1.0, gf[first:], out=d_f[first:])
+    d_f[first:] *= gf[first:]
+    d_f[first:] *= c_prev
     d_f[:first] = 0.0
-    # each pair reads both arrays it overwrites, so it is formed before either is written
-    gi[...], gg[...] = (1.0 - gi) * gi * gg, (1.0 - gg * gg) * gi
-    go[...], dc_dh[...] = (1.0 - go) * go * dc_dh, (1.0 - dc_dh * dc_dh) * go
+    del c_prev
+    # each pair reads both arrays it overwrites: the first factor is formed
+    # aside, the second in place, then the first is copied over its array
+    aside = np.empty_like(d_f)
+    for a, b in ((gi, gg), (go, dc_dh)):  # (1 - a) a b and (1 - b^2) a
+        np.subtract(1.0, a, out=aside)
+        aside *= a
+        aside *= b
+        np.multiply(b, b, out=b)
+        np.subtract(1.0, b, out=b)
+        b *= a
+        a[...] = aside
+    del aside
 
     prefixes = [f"{prefix}.{direction}" for direction in model.directions]
     us = [model.params[f"{p}.U"] for p in prefixes]
-    dh_carry = np.empty((len(us), first, h), model.dtype)
+    dh_carry = np.empty((first, len(us), h), model.dtype)
     dc_carry = d_f[:0]  # nothing flows into the last step
     for start, rows in reversed(pack.steps):
         block = slice(start, start + rows)
         dh = d_hidden[block]
-        dh[:len(dc_carry)] += dh_carry[:, :len(dc_carry)].transpose(1, 0, 2)
+        dh[:len(dc_carry)] += dh_carry[:len(dc_carry)]
         dc = np.multiply(dh, dc_dh[block])
         dc[:len(dc_carry)] += dc_carry
         dc_carry = dc * gf[block]  # the last read of f: dz goes over it
@@ -415,7 +457,7 @@ def _bilstm_backward(model, layer, pack, d_hidden, grads, input_grad, buffers=No
         np.multiply(gg[block], dc, out=gg[block])
         np.multiply(go[block], dh, out=go[block])
         for k, u in enumerate(us):
-            np.matmul(gates[block, k], u, out=dh_carry[k, :rows])
+            np.matmul(gates[block, k], u, out=dh_carry[:rows, k])
 
     d_x = None
     for k, p in enumerate(prefixes):  # the gates now hold dz
@@ -478,8 +520,10 @@ def forward(model: NetworkModel, streams: dict[str, np.ndarray], mask: np.ndarra
     per branch. Each layer's bytes are the same either way.
 
     `buffers`, a dict `train` makes once per call, holds each LSTM layer's
-    gates and one cell, hidden and tanh(c) scratch that all layers share
-    across train-mode calls, so no step allocates them again. Such a cache
+    gates, and one cell, hidden and tanh(c) scratch that all layers share
+    across train-mode calls, so no step allocates them again; the hidden
+    scratch also holds each call's gate scales and, at batches of 4 or
+    more, one `U.T` copy per direction. Such a cache
     is valid only until the next forward on the same buffers, and `backward`
     turns its gates into gate gradients. An inference forward never touches
     `buffers`.

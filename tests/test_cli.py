@@ -207,6 +207,17 @@ def test_a_config_that_sets_euler_convention_is_refused(synth_root, tmp_path, ca
     assert not (tmp_path / "x").exists()
 
 
+def test_a_bad_boolean_in_a_config_names_its_line(synth_root, tmp_path, capsys):
+    config = tmp_path / "bool.cfg"
+    config.write_text("bidirectional = ies\n")
+    assert run(["extract", "--dataset", synth_root, "--out", tmp_path / "x",
+                "--config", config]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"gestrec extract: error: {config}:1: "), line
+    assert "expected a boolean, got 'ies'" in line, line
+    assert not (tmp_path / "x").exists()
+
+
 def test_a_tree_with_two_directories_of_one_key_is_refused(synth_root, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(synth_root, data)

@@ -343,6 +343,96 @@ def test_in_place_lstm_backward_matches_whole_array_bytes(lengths, d, h, bidirec
         assert dx.tobytes() == want_dx.tobytes(), dtype
 
 
+def _view_product_bilstm_forward(model, layers, pack):
+    """Reference forward loop that multiplies by the `U.T` view at every
+    batch size, into a (dirs, rows, 4h) product added through a transpose,
+    with (4h,) gate scales broadcast over each step: `_bilstm_forward`
+    gives its bytes. Returns (hidden, gates), both fresh arrays."""
+    h, dtype = model.hidden, model.dtype
+    scale = np.full(4 * h, 0.5, dtype)
+    scale[2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
+    units = [(f"{prefix}.{direction}", x) for prefix, x in layers
+             for direction in model.directions]
+    n, dirs = len(pack.gather), len(units)
+    gates = np.empty((n, dirs, 4 * h), dtype)
+    for k, (p, x) in enumerate(units):
+        np.matmul(x[pack.flip] if p.endswith(".bwd") else x, model.params[f"{p}.W"].T,
+                  out=gates[:, k])
+    gates += np.stack([model.params[f"{p}.b"] for p, _ in units])
+    u_t = [model.params[f"{p}.U"].T for p, _ in units]
+    min_rows = min(len(pack.last), 4)
+    hidden = np.zeros((n + min_rows - 1, dirs, h), dtype)
+    cell = np.empty((n, dirs, h), dtype)
+    h_prev = c_prev = np.zeros((pack.steps[0][1], dirs, h), dtype)
+    product = np.empty((dirs, len(h_prev), 4 * h), dtype)
+    for start, rows in pack.steps:
+        g = gates[start:start + rows]
+        m = max(rows, min_rows)
+        for k, u in enumerate(u_t):
+            np.matmul(h_prev[:m, k], u, out=product[k, :m])
+        g += product[:, :rows].transpose(1, 0, 2)
+        g *= scale
+        np.tanh(g, out=g)
+        g *= scale
+        g += shift
+        c = np.multiply(g[..., h:2 * h], c_prev[:rows], out=cell[start:start + rows])
+        c += g[..., :h] * g[..., 2 * h:3 * h]
+        np.tanh(c, out=hidden[start:start + rows])
+        hidden[start:start + rows] *= g[..., 3 * h:]
+        h_prev, c_prev = hidden[start:], c
+    return hidden[:n], gates
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4, 5, 13, 32])
+def test_lstm_forward_matches_the_view_product_bytes(batch):
+    # ragged lengths: one sample runs 24 steps, the rest 1-23, so the last
+    # steps multiply 16 rows or fewer, down to 1, and at B >= 4 each step
+    # below 4 rows reads past its own into other rows
+    lengths = [24] + [1 + (7 * i) % 23 for i in range(1, batch)]
+    pack = network._pack(np.arange(24) < np.array(lengths)[:, None])
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(90 + batch)
+        model = layer_model(30, 100, rng=rng, dtype=dtype)
+        x = rng.normal(size=(len(pack.gather), 30)).astype(dtype)
+        want_hidden, want_gates = _view_product_bilstm_forward(model, [("b.l1", x)], pack)
+        for buffers in (None, {}):
+            hidden, gates = network._bilstm_forward(model, [("b.l1", x)], pack, True, buffers)
+            assert hidden.tobytes() == want_hidden.tobytes(), (dtype, buffers is None)
+            assert gates.tobytes() == want_gates.tobytes(), (dtype, buffers is None)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_train_forward_refills_one_u_copy_per_direction(bidirectional):
+    # Adam updates every U in place between steps, so a U.T copy held in
+    # `buffers` from the step before must not be read again
+    model = small_model(dropout=0.3, seed=54, bidirectional=bidirectional)
+    lengths = [6, 3, 5, 1, 6]
+    streams, mask = batch_for(model, np.random.default_rng(55), batch=5, lengths=lengths)
+    buffers = {}
+    forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(56),
+            buffers=buffers)
+    gates = [f"{name}.l{i}.gates" for name in model.branches for i in (1, 2)]
+    assert sorted(buffers) == sorted(gates + ["cell", "hidden"])
+    # the hidden scratch: the hidden states with 3 rows of zeros after them,
+    # the gate scales and shifts, and one U.T copy per direction
+    h, dirs = model.hidden, len(model.directions)
+    assert buffers["hidden"].size == ((sum(lengths) + 3) * dirs * h
+                                      + 2 * len(lengths) * dirs * 4 * h + dirs * h * 4 * h)
+    for key, p in model.params.items():
+        if key.endswith(".U"):
+            p *= 1.5
+    got, cache = forward(model, streams, mask, train_mode=True, rng=np.random.default_rng(56),
+                         buffers=buffers)
+    want, fresh = forward(model, streams, mask, train_mode=True,
+                          rng=np.random.default_rng(56), buffers={})
+    assert got.tobytes() == want.tobytes()
+    for name in model.branches:
+        for a, b in zip(cache["branches"][name][:2], fresh["branches"][name][:2]):
+            a, b = (a[2], b[2]) if isinstance(a, tuple) else (a, b)
+            assert a.tobytes() == b.tobytes(), name
+
+
 def test_train_mode_forwards_share_one_set_of_layer_buffers():
     model = small_model(dropout=0.3, seed=52)
     rng = np.random.default_rng(53)
